@@ -1,7 +1,8 @@
 """Campaign engine: grid expansion, sharding, execution, resume.
 
 The engine is a thin deterministic layer over
-:func:`repro.runner.execute_trials`:
+:func:`repro.runner.execute_trials`, whose one supervised pool of warm
+workers applies the spec's timeout/retry/quarantine policy to each unit:
 
 1. :func:`expand_units` turns a :class:`~repro.campaign.spec.CampaignSpec`
    into an ordered list of :class:`TrialUnit` with stable ids — the same
@@ -196,7 +197,7 @@ def unit_record(unit: TrialUnit, result: Any, outcome: Any,
     """Fold one completed unit into its journal record.
 
     ``outcome`` is the :class:`~repro.runner.executor.UnitOutcome` from
-    the robust executor (``None`` for cache hits); ``result`` the trial
+    the worker pool (``None`` for cache hits); ``result`` the trial
     result (placeholder or ``None`` when the outcome failed).  Both the
     in-process engine and the service workers build records through this
     one function, so a unit's journal line is byte-identical however it
@@ -296,7 +297,6 @@ def run_campaign(
             timeout_s=spec.timeout_s,
             max_retries=spec.max_retries,
             backoff_s=spec.backoff_s,
-            isolate=True,
             runner=run_unit_trial,
             on_result=on_result,
         )

@@ -10,8 +10,9 @@ coordinator/worker service without changing what lands on disk:
   the status event stream;
 * :mod:`~repro.campaign.service.server` — one asyncio TCP port
   speaking both the worker JSON-lines protocol and the HTTP API;
-* :mod:`~repro.campaign.service.worker` — the socket worker loop
-  reusing :func:`repro.runner.run_unit_robust` per leased unit;
+* :mod:`~repro.campaign.service.worker` — the socket worker loop,
+  running every leased unit on one single-slot
+  :class:`repro.runner.WorkerPool` kept for its whole session;
 * :mod:`~repro.campaign.service.client` — stdlib HTTP client for
   ``repro campaign submit/status/report --url``.
 

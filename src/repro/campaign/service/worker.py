@@ -4,9 +4,10 @@ A worker is a plain blocking-socket client of the coordinator's worker
 channel (newline-delimited JSON over TCP).  It learns the campaign spec
 from the ``welcome`` reply, re-expands the unit grid deterministically
 on its own side — only unit ids ever cross the wire — and executes each
-leased unit through :func:`repro.runner.run_unit_robust`, so the
-timeout/retry/quarantine taxonomy of ``repro campaign run`` applies
-per-unit here too.  Records are built by the same
+leased unit on a single-slot :class:`repro.runner.WorkerPool` held for
+the worker's whole life, so the timeout/retry/quarantine taxonomy of
+``repro campaign run`` applies per-unit here too, and the unit process
+is forked once, not per lease.  Records are built by the same
 :func:`repro.campaign.engine.unit_record` the serial engine uses, which
 is what makes the merged journal byte-identical to a serial run.
 
@@ -32,7 +33,7 @@ from repro.campaign.registry import run_unit_trial
 from repro.campaign.service.coordinator import unit_record_payload
 from repro.campaign.spec import CampaignSpec
 from repro.errors import ServiceError
-from repro.runner import run_unit_robust
+from repro.runner import WorkerPool
 
 #: Default reconnect budget: how long a worker keeps retrying a dead
 #: coordinator before giving up (covers a restart-and-resume window).
@@ -88,17 +89,18 @@ class WorkerChannel:
         self.close()
 
 
-def _execute_unit(spec: CampaignSpec, unit: TrialUnit) -> Dict[str, Any]:
+def _execute_unit(pool: WorkerPool, spec: CampaignSpec,
+                  unit: TrialUnit) -> Dict[str, Any]:
     """Run one leased unit and serialise its journal record."""
-    outcome = run_unit_robust(run_unit_trial, unit.trial,
-                              timeout_s=spec.timeout_s,
-                              max_retries=spec.max_retries,
-                              backoff_s=spec.backoff_s)
+    (outcome,) = pool.run([unit.trial], timeout_s=spec.timeout_s,
+                          max_retries=spec.max_retries,
+                          backoff_s=spec.backoff_s)
     record = unit_record(unit, outcome.result, outcome, cached=False)
     return unit_record_payload(record)
 
 
-def _serve_session(channel: WorkerChannel, worker_id: str) -> str:
+def _serve_session(channel: WorkerChannel, worker_id: str,
+                   pool: WorkerPool) -> str:
     """Drive one connection until it yields; returns why it stopped.
 
     Return values: ``"drained"`` (campaign finished), ``"idle"`` (no
@@ -143,7 +145,7 @@ def _serve_session(channel: WorkerChannel, worker_id: str) -> str:
         unit = units.get(unit_id)
         if unit is None:
             raise ServiceError(f"leased unknown unit {unit_id!r}")
-        payload = _execute_unit(spec, unit)
+        payload = _execute_unit(pool, spec, unit)
         ack = channel.request({"op": "result", "worker": worker_id,
                                "fingerprint": fingerprint,
                                "record": payload})
@@ -173,23 +175,24 @@ def run_worker(host: str, port: int, worker_id: Optional[str] = None,
     """
     name = worker_id or f"worker-{os.getpid()}"
     down_since: Optional[float] = None
-    while True:
-        try:
-            with WorkerChannel.connect(host, port) as channel:
-                stopped = _serve_session(channel, name)
-            down_since = None
-        except (OSError, ServiceError, ValueError):
-            now = time.monotonic()
-            if down_since is None:
-                down_since = now
-            if now - down_since > reconnect_s:
-                return 1
+    with WorkerPool(run_unit_trial, jobs=1) as pool:
+        while True:
+            try:
+                with WorkerChannel.connect(host, port) as channel:
+                    stopped = _serve_session(channel, name, pool)
+                down_since = None
+            except (OSError, ServiceError, ValueError):
+                now = time.monotonic()
+                if down_since is None:
+                    down_since = now
+                if now - down_since > reconnect_s:
+                    return 1
+                time.sleep(RECONNECT_BACKOFF_S)
+                continue
+            if stopped == "drained" and oneshot:
+                return 0
+            # idle / stale / non-oneshot drain: pause, then re-handshake.
             time.sleep(RECONNECT_BACKOFF_S)
-            continue
-        if stopped == "drained" and oneshot:
-            return 0
-        # idle / stale / non-oneshot drain: pause, then re-handshake.
-        time.sleep(RECONNECT_BACKOFF_S)
 
 
 def worker_entry(host: str, port: int, worker_id: str,
@@ -221,7 +224,7 @@ def spawn_worker(host: str, port: int, worker_id: str,
 
     Uses the ``fork`` start method where available so experiments
     registered by the parent (e.g. test fixtures) are inherited — the
-    same convention :func:`repro.runner.run_units_robust` relies on.
+    same convention :class:`repro.runner.WorkerPool` relies on.
     Pass the coordinator's listening descriptors via ``close_fds`` so
     the child releases them immediately (see :func:`worker_entry`).
     """
@@ -229,8 +232,8 @@ def spawn_worker(host: str, port: int, worker_id: str,
         ctx: Any = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX fallback
         ctx = multiprocessing.get_context()
-    # NOT daemonic: the worker itself forks a killable child per unit
-    # (run_units_robust), and daemons may not have children.
+    # NOT daemonic: the worker's pool forks its killable unit process,
+    # and daemons may not have children.
     process = ctx.Process(target=worker_entry,
                           args=(host, port, worker_id),
                           kwargs={"oneshot": oneshot,

@@ -109,16 +109,15 @@ def run_encryption_ablation(base_seed: int = 6, n_connections: int = 15,
                             collect_metrics: bool = False,
                             ) -> list[EncryptionAblationResult]:
     """ABL-2: inject into encrypted connections."""
-    from repro.runner import execute_trials
-
-    trials = [trial for _, trial in encryption_trial_units(
-        base_seed, n_connections, collect_metrics)]
+    grouped = run_trial_units(
+        encryption_trial_units(base_seed, n_connections, collect_metrics),
+        jobs=jobs, cache=cache)
     return [
         EncryptionAblationResult(
             injection_succeeded=outcome.effect_observed,
             dos_observed=not outcome.connection_survived,
         )
-        for outcome in execute_trials(trials, jobs=jobs, cache=cache)
+        for outcome in grouped.get("encrypted", [])
     ]
 
 
@@ -198,7 +197,7 @@ def _run_ids_btlejack(seed: int) -> IdsAblationResult:
 
 
 def _run_ids_task(task: tuple[str, int]) -> IdsAblationResult:
-    """Picklable dispatch for one IDS-ablation world."""
+    """Dispatch for one IDS-ablation world."""
     attack, seed = task
     if attack == "injectable":
         return _run_ids_injectable(seed)
@@ -208,10 +207,11 @@ def _run_ids_task(task: tuple[str, int]) -> IdsAblationResult:
 def run_ids_ablation(base_seed: int = 7, n_runs: int = 8,
                      jobs: Optional[int] = None) -> list[IdsAblationResult]:
     """ABL-3: IDS detection of InjectaBLE vs BTLEJack."""
-    from repro.runner import parallel_map
+    from repro.runner import run_units
 
     tasks: list[tuple[str, int]] = []
     for i in range(n_runs):
         tasks.append(("injectable", base_seed * 10_000 + i))
         tasks.append(("btlejack", base_seed * 20_000 + i))
-    return parallel_map(_run_ids_task, tasks, jobs=jobs)
+    return [outcome.unwrap()
+            for outcome in run_units(_run_ids_task, tasks, jobs=jobs)]

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 from repro.core.attacker import Attacker
 from repro.core.injection import InjectionConfig, InjectionReport
 from repro.devices.lightbulb import Lightbulb
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.host.att.pdus import WriteCmd, WriteReq
 from repro.host.l2cap import CID_ATT, l2cap_encode
 from repro.ll.master import MasterLinkLayer
@@ -92,9 +92,9 @@ class TrialResult:
             the trial ran with ``collect_metrics=True``, else ``None``.
         failure: ``None`` for a trial that ran to completion; otherwise the
             runner's failure taxonomy (``timeout`` / ``crash`` /
-            ``error: ...``) for a trial the robust executor terminated,
+            ``error: ...``) for a trial the worker pool terminated,
             lost, or quarantined — see
-            :func:`repro.runner.executor.run_units_robust`.
+            :class:`repro.runner.executor.WorkerPool`.
         occupancy: measured ambient band occupancy of the trial's world
             (dense-world trials only, see
             :mod:`repro.experiments.dense`); ``None`` for the 3-device
@@ -284,7 +284,16 @@ def run_trials(
     from repro.runner import execute_trials
 
     trials = [make_trial(base_seed * 10_000 + i) for i in range(n_connections)]
-    return execute_trials(trials, jobs=jobs, cache=cache)
+    return _completed(execute_trials(trials, jobs=jobs, cache=cache))
+
+
+def _completed(results: list) -> list:
+    """Raise for a trial that did not finish: a one-shot panel must not
+    count a broken trial as an unsuccessful injection."""
+    for result in results:
+        if result.failure is not None:
+            raise ReproError(f"trial failed to complete ({result.failure})")
+    return results
 
 
 def run_trial_units(
@@ -305,9 +314,9 @@ def run_trial_units(
     from repro.campaign.registry import run_unit_trial
     from repro.runner import execute_trials
 
-    results = execute_trials([trial for _, trial in units],
-                             jobs=jobs, cache=cache,
-                             runner=run_unit_trial)
+    results = _completed(execute_trials([trial for _, trial in units],
+                                        jobs=jobs, cache=cache,
+                                        runner=run_unit_trial))
     grouped: dict = {}
     for (key, _), result in zip(units, results):
         grouped.setdefault(key, []).append(result)

@@ -281,10 +281,10 @@ def run_scenario_suite(
     case, scenario-major), so results match the pre-parallel benchmark
     byte for byte regardless of ``jobs``.
     """
-    from repro.runner import parallel_map
+    from repro.runner import run_units
 
     units = trial_units(base_seed=base_seed)
-    results = parallel_map(run_scenario_trial,
-                           [trial for _, trial in units], jobs=jobs)
+    results = [outcome.unwrap() for outcome in run_units(
+        run_scenario_trial, [trial for _, trial in units], jobs=jobs)]
     return [(label, result.success, result.attempts)
             for (label, _), result in zip(units, results)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Optional
 
-from repro.errors import HostError
+from repro.errors import CodecError, HostError
 from repro.host.att.pdus import (
     AttPdu,
     ErrorRsp,
@@ -104,7 +104,7 @@ class AttClient:
         """Feed one incoming ATT PDU from the transport."""
         try:
             pdu = decode_att_pdu(data)
-        except Exception:
+        except CodecError:
             return
         if isinstance(pdu, HandleValueNtf):
             if self.on_notification is not None:

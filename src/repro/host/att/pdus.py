@@ -34,7 +34,11 @@ class ErrorRsp:
         """Decode from wire bytes."""
         if len(data) != 5:
             raise CodecError(f"ERROR_RSP must be 5 bytes, got {len(data)}")
-        return cls(data[1], int.from_bytes(data[2:4], "little"), AttError(data[4]))
+        try:
+            error = AttError(data[4])
+        except ValueError:
+            raise CodecError(f"unknown ATT error code 0x{data[4]:02X}") from None
+        return cls(data[1], int.from_bytes(data[2:4], "little"), error)
 
 
 @dataclass(frozen=True)

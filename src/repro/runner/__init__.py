@@ -1,18 +1,19 @@
-"""Parallel trial execution and result caching.
+"""Trial execution on one supervised worker pool, and result caching.
 
 The experiment harness (``repro.experiments``) builds every paper artefact
 out of independent, seed-deterministic simulation units.  This package
 executes those units:
 
-* :func:`execute_trials` — process-pool execution of ``InjectionTrial``
-  batches with deterministic ordering and an optional on-disk result cache;
-* :func:`parallel_map` — the underlying order-preserving pool map, also
-  used for scenario suites and IDS ablation runs;
+* :class:`WorkerPool` — at most ``jobs`` warm worker processes, each
+  forked once and fed one unit at a time, with per-unit deadlines,
+  crash/timeout respawn, bounded retry and quarantine; outcomes come back
+  in item order.  :func:`run_units` runs one batch on a pool of its own;
+* :func:`execute_trials` — ``InjectionTrial`` batches on that pool, with
+  an optional on-disk result cache;
 * :class:`ResultCache` — trial-keyed, code-version-aware pickle store.
 
 Parallelism is opt-in everywhere: ``jobs=None`` honours ``$REPRO_JOBS``
-and defaults to single-process execution with results identical to the
-parallel path.
+and defaults to one worker, with results identical at any ``jobs``.
 """
 
 from repro.runner.cache import (
@@ -26,12 +27,11 @@ from repro.runner.cache import (
 from repro.runner.executor import (
     JOBS_ENV,
     UnitOutcome,
+    WorkerPool,
     execute_trials,
     merge_trial_metrics,
-    parallel_map,
     resolve_jobs,
-    run_unit_robust,
-    run_units_robust,
+    run_units,
 )
 
 __all__ = [
@@ -39,14 +39,13 @@ __all__ = [
     "JOBS_ENV",
     "ResultCache",
     "UnitOutcome",
+    "WorkerPool",
     "code_version_token",
     "default_cache_dir",
     "execute_trials",
     "merge_trial_metrics",
-    "parallel_map",
     "resolve_jobs",
-    "run_unit_robust",
-    "run_units_robust",
+    "run_units",
     "source_tree_token",
     "stable_trial_key",
 ]

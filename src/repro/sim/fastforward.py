@@ -92,11 +92,18 @@ _events_fast_forwarded = 0
 def events_fast_forwarded() -> int:
     """Total simulator events replaced by fast-forward, process-wide.
 
-    Serial runs (``--jobs 1``) accumulate here directly; parallel workers
-    each count their own share.  Benchmarks reset via
-    :func:`reset_fast_forward_count` and read this after a serial panel.
+    Units run on :class:`repro.runner.WorkerPool` workers are credited
+    back here (:func:`credit_fast_forward_count`), so this counts every
+    unit the process ran or dispatched, at any ``--jobs``.  Benchmarks
+    reset via :func:`reset_fast_forward_count` and read this after a panel.
     """
     return _events_fast_forwarded
+
+
+def credit_fast_forward_count(events: int) -> None:
+    """Add ``events`` a worker process fast-forwarded to this one's count."""
+    global _events_fast_forwarded
+    _events_fast_forwarded += events
 
 
 def reset_fast_forward_count() -> None:

@@ -2,7 +2,7 @@
 
 Four layers:
 
-* **Robust executor** — ``run_units_robust`` classifies timeout / crash /
+* **Robust executor** — ``run_units`` classifies timeout / crash /
   error, retries only the retryable, quarantines after ``max_retries``
   and never lets one pathological unit abort the batch.
 * **Expansion & sharding** — a spec expands to the same ordered unit
@@ -44,7 +44,7 @@ from repro.campaign import (
 from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.experiments.common import TrialResult
-from repro.runner.executor import run_units_robust
+from repro.runner.executor import run_units
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
@@ -80,13 +80,13 @@ def _crash_once_marker(path_str):
 
 class TestRobustExecutor:
     def test_ok_results_in_order(self):
-        outcomes = run_units_robust(_double, [1, 2, 3], jobs=2)
+        outcomes = run_units(_double, [1, 2, 3], jobs=2)
         assert [o.status for o in outcomes] == ["ok"] * 3
         assert [o.result for o in outcomes] == [2, 4, 6]
         assert [o.index for o in outcomes] == [0, 1, 2]
 
     def test_timeout_is_quarantined_with_retry_count(self):
-        (outcome,) = run_units_robust(
+        (outcome,) = run_units(
             _sleep_forever, ["x"], jobs=1,
             timeout_s=0.2, max_retries=1, backoff_s=0.01)
         assert outcome.status == "timeout"
@@ -94,7 +94,7 @@ class TestRobustExecutor:
         assert not outcome.ok
 
     def test_crash_is_quarantined_without_aborting_batch(self):
-        outcomes = run_units_robust(
+        outcomes = run_units(
             _mixed, [0, 1, 2], jobs=2,
             timeout_s=10, max_retries=1, backoff_s=0.01)
         by_index = {o.index: o for o in outcomes}
@@ -104,7 +104,7 @@ class TestRobustExecutor:
         assert by_index[2].status == "ok" and by_index[2].result == "fine-2"
 
     def test_clean_exception_is_never_retried(self):
-        (outcome,) = run_units_robust(
+        (outcome,) = run_units(
             _raise_value_error, ["unit"], jobs=1,
             max_retries=2, backoff_s=0.01)
         assert outcome.status == "error"
@@ -112,7 +112,7 @@ class TestRobustExecutor:
         assert "deterministic failure" in outcome.detail
 
     def test_retry_recovers_transient_crash(self, tmp_path):
-        (outcome,) = run_units_robust(
+        (outcome,) = run_units(
             _crash_once_marker, [str(tmp_path / "marker")], jobs=1,
             max_retries=2, backoff_s=0.01)
         assert outcome.status == "ok"

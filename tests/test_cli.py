@@ -110,9 +110,9 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "Ordered by: cumulative time" in out
-        # The trial-execution chain must dominate cumulative time; the
-        # entry point is run_trial_units since the campaign refactor.
-        assert "run_trial_units" in out or "parallel_map" in out
+        # The trial-execution chain must dominate cumulative time; its
+        # entry point is the campaign dispatcher, run in-process.
+        assert "run_unit_trial" in out
 
     def test_crack(self, capsys):
         code = main(["crack", "--seed", "90"])

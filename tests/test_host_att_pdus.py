@@ -91,6 +91,16 @@ class TestValidation:
         with pytest.raises(CodecError):
             ReadByTypeRsp(()).to_bytes()
 
+    def test_prepare_queue_full_error_decodes(self):
+        pdu = decode_att_pdu(bytes.fromhex("0178bcb909"))
+        assert pdu.error is AttError.PREPARE_QUEUE_FULL
+
+    @pytest.mark.parametrize("code", [0x00, 0x14, 0x80, 0xFF])
+    def test_unknown_error_code_rejected(self, code):
+        with pytest.raises(CodecError):
+            decode_att_pdu(bytes([AttOpcode.ERROR_RSP, 0x12, 0x01, 0x00,
+                                  code]))
+
     def test_malformed_find_information_rejected(self):
         with pytest.raises(CodecError):
             decode_att_pdu(bytes([AttOpcode.FIND_INFORMATION_RSP, 0x01,

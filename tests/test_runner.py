@@ -1,24 +1,36 @@
-"""Tests for the parallel trial runner and the on-disk result cache."""
+"""Tests for the worker pool, the trial runner and the on-disk result cache."""
 
+import errno
+import multiprocessing
+import os
 import pickle
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+from repro.errors import ReproError
 from repro.experiments.common import InjectionTrial, run_single_trial, run_trials
 from repro.runner import (
     ResultCache,
+    WorkerPool,
     execute_trials,
     merge_trial_metrics,
-    parallel_map,
     resolve_jobs,
+    run_units,
     source_tree_token,
     stable_trial_key,
 )
-from repro.runner.executor import _chunk_indices
+from repro.runner import executor
+from repro.sim import fastforward
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def _square(x):
-    """Module-level so the process pool can pickle it."""
     return x * x
 
 
@@ -47,30 +59,117 @@ class TestResolveJobs:
         assert resolve_jobs(0) >= 1
 
 
-class TestChunking:
-    def test_chunks_partition_the_range(self):
-        for n_items in (1, 5, 16, 17):
-            for n_chunks in (1, 3, 8, 40):
-                spans = _chunk_indices(n_items, n_chunks)
-                flat = [i for span in spans for i in span]
-                assert flat == list(range(n_items))
-
-    def test_no_empty_chunks(self):
-        assert all(len(span) > 0 for span in _chunk_indices(3, 16))
+def _results(outcomes):
+    return [outcome.unwrap() for outcome in outcomes]
 
 
-class TestParallelMap:
+def _worker_pid(_item):
+    return os.getpid()
+
+
+def _credit_fast_forward(events):
+    fastforward.credit_fast_forward_count(events)
+    return os.getpid()
+
+
+def _alive(pid):
+    """Whether ``pid`` runs (an unreaped zombie counts as exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+class TestWorkerPool:
     def test_serial_path(self):
-        assert parallel_map(_square, range(7), jobs=1) == [
+        assert _results(run_units(_square, range(7), jobs=1)) == [
             0, 1, 4, 9, 16, 25, 36]
 
     def test_pool_preserves_order(self):
-        assert parallel_map(_square, range(23), jobs=3) == [
+        assert _results(run_units(_square, range(23), jobs=3)) == [
             i * i for i in range(23)]
 
     def test_worker_exception_propagates(self):
-        with pytest.raises(ZeroDivisionError):
-            parallel_map(_reciprocal, [2, 0], jobs=2)
+        with pytest.raises(ReproError, match="ZeroDivisionError"):
+            _results(run_units(_reciprocal, [2, 0], jobs=2))
+
+    def test_forkless_host_runs_units_in_process(self, monkeypatch):
+        def no_fork(method=None):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        monkeypatch.setattr(executor.multiprocessing, "get_context", no_fork)
+        outcomes = run_units(_reciprocal, [2, 0], jobs=2)
+        assert [o.status for o in outcomes] == ["ok", "error"]
+        assert outcomes[0].result == 0.5
+        assert "ZeroDivisionError" in outcomes[1].detail
+
+    def test_workers_are_forked_once_and_reused(self):
+        with WorkerPool(_worker_pid, jobs=2) as pool:
+            first = {o.result for o in pool.run(range(8))}
+            second = {o.result for o in pool.run(range(8))}
+        assert os.getpid() not in first
+        assert 1 <= len(first) <= 2
+        assert second <= first
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_a_failed_fork_is_retried_next_round(self, monkeypatch):
+        process_cls = multiprocessing.get_context("fork").Process
+        real_start = process_cls.start
+        starts = []
+
+        def flaky_start(process):
+            starts.append(process)
+            if len(starts) == 1:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            real_start(process)
+
+        monkeypatch.setattr(process_cls, "start", flaky_start)
+        fds = len(os.listdir("/proc/self/fd"))
+        with WorkerPool(_worker_pid, jobs=1) as pool:
+            (first,) = pool.run([0])
+            assert len(os.listdir("/proc/self/fd")) == fds  # pipe closed
+            (second,) = pool.run([0])
+        assert first.result == os.getpid()  # ran in-process this round
+        assert second.result != os.getpid()  # forked on the next one
+
+    def test_fast_forward_count_reaches_the_supervisor(self):
+        fastforward.reset_fast_forward_count()
+        outcomes = run_units(_credit_fast_forward, [3, 4], jobs=2)
+        assert os.getpid() not in _results(outcomes)
+        assert fastforward.events_fast_forwarded() == 7
+
+    def test_serial_trials_count_their_fast_forwarded_events(self):
+        fastforward.reset_fast_forward_count()
+        execute_trials([_quick_trial(1)], jobs=1, cache=None)
+        assert fastforward.events_fast_forwarded() > 0
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_idle_workers_exit_when_the_supervisor_is_killed(self):
+        script = (
+            "import os, time\n"
+            "from repro.runner import WorkerPool\n"
+            "pool = WorkerPool(lambda _: os.getpid(), jobs=2)\n"
+            "print(*sorted({o.result for o in pool.run(range(4))}),"
+            " flush=True)\n"
+            "time.sleep(60)\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+        proc = subprocess.Popen([sys.executable, "-c", script],
+                                stdout=subprocess.PIPE, text=True, env=env)
+        try:
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+        finally:
+            proc.send_signal(signal.SIGKILL)
+            proc.wait()
+        assert pids
+        deadline = time.monotonic() + 5.0
+        while any(_alive(pid) for pid in pids) \
+                and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [pid for pid in pids if _alive(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert survivors == []
 
 
 def _reciprocal(x):
