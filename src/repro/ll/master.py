@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.crypto.pairing import session_key_from_skd
 from repro.crypto.session import LinkEncryption
-from repro.errors import ConnectionStateError
+from repro.errors import CodecError, ConnectionStateError
 from repro.ll.access_address import ADVERTISING_ACCESS_ADDRESS, generate_access_address
 from repro.ll.connection import (
     ConnectionParams,
@@ -178,7 +178,7 @@ class MasterLinkLayer(LinkLayerDevice):
             return
         try:
             pdu = decode_advertising_pdu(frame.pdu)
-        except Exception:
+        except CodecError:
             return
         if not isinstance(pdu, AdvInd):
             return

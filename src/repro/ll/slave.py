@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.crypto.pairing import session_key_from_skd
 from repro.crypto.session import LinkEncryption
-from repro.errors import ConnectionStateError
+from repro.errors import CodecError, ConnectionStateError
 from repro.ll.connection import ConnectionParams, ConnectionState, Role
 from repro.ll.device import LinkLayerDevice
 from repro.ll.pdu.address import BdAddress
@@ -228,7 +228,7 @@ class SlaveLinkLayer(LinkLayerDevice):
             return
         try:
             pdu = decode_advertising_pdu(frame.pdu)
-        except Exception:
+        except CodecError:
             return
         if isinstance(pdu, ScanReq) and pdu.adv_addr.value == self.address.value:
             rsp = ScanRsp(self.address, self.scan_data).to_bytes()

@@ -1,4 +1,5 @@
-"""Analytic fast-forward of quiet BLE connection-event cycles.
+"""Analytic fast-forward of quiet BLE connection-event and advertising
+cycles.
 
 The post-injection phase of a trial is *quiet*: Master and Slave exchange
 empty data PDUs (poll / ack) every connection interval while the attacker's
@@ -22,6 +23,19 @@ queued data, an attacker radio in play, a window edge within float
 tolerance of a frame boundary) disengages it *before* any RNG draw, so the
 reference path takes over mid-trial with no divergence.
 
+The same engine has a second closed-form mode for the *idle advertising
+tail*: after an ``LL_TERMINATE_IND`` the Peripheral drops the connection
+and re-advertises until the deadline with nobody listening.  Whenever the
+advertiser's next ``adv-cycle`` is the only live event and an audit proves
+nothing can hear or perturb it (no frame on air, no receiver lock, no tap,
+no radio in RX, the advertiser not transmitting and with no TX-complete
+hook), the engine computes whole cycles directly — three ADV_IND frames on
+channels 37, 38, 39 with their listen windows, then the 0-10 ms advDelay
+draw — emitting the same ``tx`` trace records, metric increments, frame
+ids, transmission counters and ``adv-`` RNG consumption, and hands the
+reference path the re-created next cycle.  It stops before any cycle that
+would cross the run horizon or use up the event budget.
+
 Correctness contract (enforced by ``tests/test_engine_differential.py``):
 byte-identical traces and bit-identical results against the reference
 engine.  See DESIGN.md, "Epoch scheduler & analytic fast-forward", for the
@@ -30,19 +44,22 @@ invariants and the full bail-out list.
 
 from __future__ import annotations
 
+import heapq
 import os
 from collections import deque
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.ll.access_address import ADVERTISING_ACCESS_ADDRESS
 from repro.ll.csa1 import NUM_DATA_CHANNELS
 from repro.ll.master import _RESPONSE_GRACE_US, MasterState
+from repro.ll.pdu.advertising import AdvInd
 from repro.ll.pdu.data import LLID, DataPdu
-from repro.ll.pdu.frame import compute_crc
-from repro.ll.slave import SlaveState
+from repro.ll.pdu.frame import compute_advertising_crc, compute_crc
+from repro.ll.slave import _ADV_RX_WINDOW_US, SlaveState
 from repro.ll.timing import WINDOW_WIDENING_CONSTANT_US
 from repro.phy import signal as _signal
-from repro.phy.modulation import air_time_us
+from repro.phy.modulation import PhyMode, air_time_us
 from repro.phy.signal import RadioFrame
 from repro.sim.events import TIME_EPS_US, Event
 from repro.sim.medium import (
@@ -85,6 +102,13 @@ _LINK_MARGIN_SIGMAS = LINK_MARGIN_SIGMAS
 #: Frames that ended longer ago than this no longer matter for collision
 #: resolution; the medium's recent-window pruning horizon.
 _RECENT_HORIZON_US = RECENT_HORIZON_US
+
+#: Advertising channels in the order one advertising cycle visits them.
+_ADV_CHANNELS = (37, 38, 39)
+
+#: Events one advertising cycle fires: ``adv-cycle`` plus, per channel,
+#: ``medium-finish``, ``adv-listen`` and ``adv-listen-timeout``.
+_ADV_CYCLE_EVENTS = 1 + 3 * len(_ADV_CHANNELS)
 
 _events_fast_forwarded = 0
 
@@ -153,38 +177,46 @@ def install_engine(
 
 
 class _StreamBuffer:
-    """Block-buffered normal draws, bit-identical to per-call draws.
+    """Block-buffered draws of one distribution, bit-identical to per-call
+    draws.
 
-    ``numpy.random.Generator.normal(0, s, n)`` consumes the bit stream
-    exactly as ``n`` scalar ``normal(0, s)`` calls do (same values, same
-    end state), so the engine can amortise RNG overhead by drawing blocks —
-    and, on disengage, rewind to the saved state and replay exactly the
-    consumed count so the reference path continues on an identical stream.
+    ``numpy.random.Generator.normal(a, b, n)`` and ``uniform(a, b, n)``
+    consume the bit stream exactly as ``n`` scalar ``normal(a, b)`` /
+    ``uniform(a, b)`` calls do (same values, same end state), so the engine
+    can amortise RNG overhead by drawing blocks — and, once done, rewind to
+    the saved state and replay exactly the consumed count so the reference
+    path continues on an identical stream.  With ``rng`` ``None`` nothing
+    is drawn and every value is ``a`` (a zero-sigma normal).
     """
 
-    __slots__ = ("_rng", "_sigma", "_block", "_values", "_pos", "_consumed",
-                 "_saved_state")
+    __slots__ = ("_rng", "_draw", "_a", "_b", "_values", "_pos",
+                 "_consumed", "_saved_state")
 
     _BLOCK = 512
 
-    def __init__(self, rng, sigma: float):
-        self._rng = rng if (sigma > 0.0 and rng is not None) else None
-        self._sigma = sigma
+    def __init__(self, rng, method: str, a: float, b: float):
+        self._rng = rng
+        self._draw = None if rng is None else getattr(rng, method)
+        self._a = a
+        self._b = b
         self._values: list = []
         self._pos = 0
         self._consumed = 0
         self._saved_state = None
 
-    def next(self) -> float:
-        """The next draw (0.0, consuming nothing, when sigma is 0)."""
-        rng = self._rng
-        if rng is None:
-            return 0.0
+    def _refill(self) -> None:
+        """Draw the next block, saving the pre-engagement state once."""
         if self._saved_state is None:
-            self._saved_state = rng.bit_generator.state
+            self._saved_state = self._rng.bit_generator.state
+        self._values = self._draw(self._a, self._b, self._BLOCK).tolist()
+        self._pos = 0
+
+    def next(self) -> float:
+        """The next draw (``a``, consuming nothing, without an rng)."""
+        if self._draw is None:
+            return self._a
         if self._pos == len(self._values):
-            self._values = rng.normal(0.0, self._sigma, self._BLOCK).tolist()
-            self._pos = 0
+            self._refill()
         value = self._values[self._pos]
         self._pos += 1
         self._consumed += 1
@@ -192,30 +224,41 @@ class _StreamBuffer:
 
     def unwind(self) -> None:
         """Leave the stream exactly where per-call draws would have."""
-        rng = self._rng
-        if rng is None or self._saved_state is None:
+        if self._saved_state is None:
             return
-        rng.bit_generator.state = self._saved_state
+        self._rng.bit_generator.state = self._saved_state
         if self._consumed:
-            rng.normal(0.0, self._sigma, self._consumed)
+            self._draw(self._a, self._b, self._consumed)
         self._saved_state = None
         self._values = []
         self._pos = 0
         self._consumed = 0
 
 
+def _jitter_buffer(clock) -> _StreamBuffer:
+    """Buffered ``clock.sample_jitter()`` draws (none at zero jitter)."""
+    sigma = clock.jitter_us
+    return _StreamBuffer(clock._rng if sigma > 0.0 else None,
+                         "normal", 0.0, sigma)
+
+
 class QuietCycleEngine:
-    """Closed-form batch execution of quiet Master/Slave poll cycles.
+    """Closed-form batch execution of quiet Master/Slave poll cycles and of
+    the Slave's idle advertising cycles.
 
     Installed on a :class:`~repro.sim.simulator.Simulator` via
     :meth:`~repro.sim.simulator.Simulator.install_fast_forward`; the run
-    loop consults :meth:`advance` once per iteration.  The engine is
-    default-closed: every condition it cannot prove is a disengage, checked
-    *before* any RNG or frame-id consumption for the cycle in question.
+    loop consults :meth:`advance` once per iteration.  Three live events
+    that form the connected trio select the quiet-cycle mode; one live
+    event that is the Slave's next advertising cycle selects the
+    advertising mode.  The engine is default-closed: every condition it
+    cannot prove is a disengage, checked *before* any RNG or frame-id
+    consumption for the cycle in question, and neither mode forwards the
+    event that would use up the run's ``max_events`` budget.
     """
 
     __slots__ = ("sim", "medium", "master", "slave", "_pdu_cache",
-                 "_wo_label", "_master_handler")
+                 "_wo_label", "_master_handler", "_adv_handler")
 
     def __init__(self, sim: Simulator, medium: Medium,
                  master: "MasterLinkLayer", slave: "SlaveLinkLayer"):
@@ -227,27 +270,36 @@ class QuietCycleEngine:
         self._pdu_cache: dict = {}
         self._wo_label = f"{slave.name}-window-open"
         self._master_handler = master._connection_event
+        self._adv_handler = slave._advertising_event
 
     # ------------------------------------------------------------------
     # Entry point
     # ------------------------------------------------------------------
 
     def advance(self, until_us: Optional[float], budget: int) -> int:
-        """Fast-forward as many quiet cycles as provable; 0 if none.
+        """Fast-forward as many quiet or advertising cycles as provable; 0
+        if none.
 
         Called by the run loop before every event pop.  Must be cheap when
         the world is not in fast-forwardable shape: the first check is an
-        O(1) live-event count.
+        O(1) live-event count (3 for the connected trio, 1 for the
+        advertiser's next cycle).
         """
         queue = self.sim._queue
-        if queue._live != 3 or budget < 6:
-            return 0
-        trio = self._classify_trio(queue)
-        if trio is None:
-            return 0
-        if not self._eligible():
-            return 0
-        return self._run(trio, until_us, budget)
+        live = queue._live
+        if live == 3:
+            if budget <= 6:
+                return 0
+            trio = self._classify_trio(queue)
+            if trio is None or not self._eligible():
+                return 0
+            return self._run(trio, until_us, budget)
+        if live == 1 and budget > _ADV_CYCLE_EVENTS:
+            event = self._sole_advertising_event(queue)
+            if event is None or not self._advertising_eligible():
+                return 0
+            return self._run_advertising(event, until_us, budget)
+        return 0
 
     def _classify_trio(self, queue):
         """Match the live events against the steady-state trio."""
@@ -478,8 +530,8 @@ class QuietCycleEngine:
         m_tx_power = mr.tx_power_dbm
         s_tx_power = sr.tx_power_dbm
 
-        s_jitter = _StreamBuffer(slave.clock._rng, slave.clock.jitter_us)
-        m_jitter = _StreamBuffer(master.clock._rng, master.clock.jitter_us)
+        s_jitter = _jitter_buffer(slave.clock)
+        m_jitter = _jitter_buffer(master.clock)
 
         event_count = sconn.event_count
         t_open, t_close, t_master = \
@@ -517,8 +569,8 @@ class QuietCycleEngine:
             if end_m - TIME_EPS_US <= t_close <= end_m:
                 break  # window edge within float tolerance of the frame end
             cycle_events = 7 if t_close < end_m else 6
-            if fired + cycle_events > budget:
-                break
+            if fired + cycle_events >= budget:
+                break  # the reference loop must fire the budget's last event
             if until_us is not None and t_master + horizon_pad > until_us:
                 break
             if t_master * rate_m - m_lv > timeout_us:
@@ -753,6 +805,128 @@ class QuietCycleEngine:
             transmission = _ActiveTransmission(frame, sender, seq)
             transmission.rx_power_dbm[rx_tid] = power
             medium._append_recent(transmission)
+
+        global _events_fast_forwarded
+        _events_fast_forwarded += fired
+        return fired
+
+    # ------------------------------------------------------------------
+    # Idle advertising cycles
+    # ------------------------------------------------------------------
+
+    def _sole_advertising_event(self, queue) -> Optional[Event]:
+        """The only live event, if it is the advertiser's next cycle."""
+        heap = queue._heap
+        while heap[0][2].cancelled:
+            heapq.heappop(heap)  # discarded by the next pop_due anyway
+        event = heap[0][2]
+        return event if event.handler == self._adv_handler else None
+
+    def _advertising_eligible(self) -> bool:
+        """Nothing in the world can hear or perturb an advertising cycle."""
+        slave, medium = self.slave, self.medium
+        if slave.state is not SlaveState.ADVERTISING or slave._adv_channels:
+            return False
+        if medium._active or medium._locks or medium._taps:
+            return False
+        for rx in medium._transceivers.values():
+            if rx._rx_channel is not None:
+                return False
+        return slave.radio.on_tx_complete is None
+
+    def _run_advertising(self, event: Event, until_us: Optional[float],
+                         budget: int) -> int:
+        """Replay whole ADV_IND cycles on channels 37, 38, 39.
+
+        Per channel the reference transmits at ``t``, finishes at
+        ``t + dur``, listens 1 µs later and times out ``_ADV_RX_WINDOW_US``
+        after that, where the next channel starts; after channel 39 it
+        draws the 0-10 ms advDelay and schedules the next cycle.
+        """
+        sim, medium, slave = self.sim, self.medium, self.slave
+        radio = slave.radio
+        t_cycle = max(sim._now, event.time_us)
+        if radio.is_transmitting(t_cycle):
+            return 0  # the reference defers the first channel instead
+        pdu = AdvInd(slave.address, slave.adv_data).to_bytes()
+        pdu_len = len(pdu)
+        dur = air_time_us(pdu_len, PhyMode.LE_1M)
+        interval_ms = slave.adv_interval_ms
+        name = slave.name
+        trace = sim.trace
+        metrics = medium._metrics
+        tid = radio.medium_id
+        seq = medium._tx_seq.get(tid, 0)
+        delays = _StreamBuffer(slave._adv_rng, "uniform", 0.0, 10.0)
+        next_frame_id = _signal._frame_ids.__next__
+        aa = ADVERTISING_ACCESS_ADDRESS
+        rx_window = _ADV_RX_WINDOW_US
+        fired = 0
+        last_done = last_end = 0.0
+        last_frames: tuple = ()
+
+        while True:
+            # -- pre-draw bail-outs: disengage with zero side effects ----
+            if fired + _ADV_CYCLE_EVENTS >= budget:
+                break  # the reference loop must fire the budget's last event
+            t37 = t_cycle
+            end37 = t37 + dur
+            t38 = end37 + 1.0 + rx_window
+            end38 = t38 + dur
+            t39 = end38 + 1.0 + rx_window
+            end39 = t39 + dur
+            t_done = end39 + 1.0 + rx_window
+            if until_us is not None and t_done > until_us:
+                break
+
+            # -- the cycle is now committed ------------------------------
+            fid37 = next_frame_id()
+            fid38 = next_frame_id()
+            fid39 = next_frame_id()
+            if trace.enabled:
+                trace.record(t37, name, "tx", channel=37, aa=aa,
+                             pdu_len=pdu_len, frame_id=fid37)
+                trace.record(t38, name, "tx", channel=38, aa=aa,
+                             pdu_len=pdu_len, frame_id=fid38)
+                trace.record(t39, name, "tx", channel=39, aa=aa,
+                             pdu_len=pdu_len, frame_id=fid39)
+            if metrics.enabled:
+                for channel in _ADV_CHANNELS:
+                    medium._m_tx.inc()
+                    airtime = medium._m_airtime.get(channel)
+                    if airtime is None:
+                        airtime = medium._m_airtime[channel] = \
+                            metrics.counter(
+                                f"medium.airtime_us.ch{channel:02d}")
+                    airtime.inc(dur)
+            last_frames = ((fid37, 37, t37, seq), (fid38, 38, t38, seq + 1),
+                           (fid39, 39, t39, seq + 2))
+            last_done, last_end = t_done, end39
+            seq += 3
+            fired += _ADV_CYCLE_EVENTS
+            delay_ms = interval_ms + delays.next()
+            t_cycle = max(t_done + delay_ms * 1000.0, t_done)
+
+        if fired == 0:
+            return 0
+
+        # Write back the state the reference leaves after channel 39's
+        # listen timeout, then hand it the re-created next cycle.
+        delays.unwind()
+        sim._now = last_done
+        event.cancel()
+        medium._tx_seq[tid] = seq
+        crc = compute_advertising_crc(pdu)
+        for frame_id, channel, start, frame_seq in last_frames:
+            frame = RadioFrame(
+                access_address=aa, pdu=pdu, crc=crc,
+                channel=channel, start_us=start,
+                tx_power_dbm=radio.tx_power_dbm, phy=PhyMode.LE_1M,
+                sender_id=tid, frame_id=frame_id)
+            medium._append_recent(_ActiveTransmission(frame, radio, frame_seq))
+        radio._tx_until_us = last_end
+        slave._adv_channels = []
+        slave._schedule(t_cycle, self._adv_handler, "adv-cycle")
 
         global _events_fast_forwarded
         _events_fast_forwarded += fired

@@ -18,7 +18,9 @@ from repro.host.l2cap import l2cap_decode, l2cap_encode
 from repro.ll.access_address import is_valid_access_address
 from repro.ll.csa1 import Csa1
 from repro.ll.csa2 import Csa2
+from repro.errors import CodecError
 from repro.ll.pdu.address import BdAddress
+from repro.ll.pdu.advertising import decode_advertising_pdu
 from repro.ll.pdu.control import (
     ChannelMapInd,
     ConnectionUpdateInd,
@@ -133,6 +135,20 @@ class TestCodecProperties:
     def test_terminate_round_trip(self, code):
         assert decode_control_pdu(TerminateInd(code).to_payload()) == \
             TerminateInd(code)
+
+    @given(data=st.one_of(
+        st.binary(max_size=48),
+        # A length byte that matches the body, so decoding reaches the
+        # per-type body parsers instead of stopping at the header.
+        st.tuples(st.integers(0, 255), st.binary(max_size=40)).map(
+            lambda t: bytes((t[0], len(t[1]))) + t[1])))
+    def test_advertising_decode_raises_only_codec_error(self, data):
+        # Advertising PDUs come off the air from anyone in range; the LL
+        # receive paths catch only CodecError, so nothing else may escape.
+        try:
+            decode_advertising_pdu(data)
+        except CodecError:
+            pass
 
     @given(value=st.integers(0, (1 << 48) - 1), random=st.booleans())
     def test_bd_address_round_trip(self, value, random):
