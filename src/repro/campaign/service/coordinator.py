@@ -41,7 +41,7 @@ from repro.campaign.report import (
 )
 from repro.campaign.service.queue import LeaseQueue
 from repro.campaign.spec import CampaignSpec
-from repro.errors import ConfigurationError, ServiceError
+from repro.errors import CampaignBusyError, ServiceError
 from repro.telemetry.metrics import MetricsRegistry
 
 #: Buckets for the lease-latency histogram (seconds, grant → result).
@@ -133,7 +133,7 @@ class Coordinator:
         a coordinator restart resumes exactly the pending units.
         """
         if self._campaign is not None and not self._campaign.complete:
-            raise ConfigurationError(
+            raise CampaignBusyError(
                 f"campaign {self._campaign.spec.name!r} is still being "
                 f"served ({self._campaign.state.done}/"
                 f"{self._campaign.state.total} units done); wait for it "

@@ -31,7 +31,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.campaign.service.coordinator import Coordinator
 from repro.campaign.spec import CampaignSpec
-from repro.errors import ReproError, ServiceError
+from repro.errors import CampaignBusyError, ReproError, ServiceError
 
 #: Hard cap on worker-channel line length and HTTP body size (16 MiB) —
 #: a full unit record with merged telemetry fits with huge margin.
@@ -269,7 +269,7 @@ class ServiceServer:
             return (404, _json_body({"error": f"no such endpoint {path}"}),
                     "application/json")
         except ReproError as exc:
-            status = 409 if "still being served" in str(exc) else 400
+            status = 409 if isinstance(exc, CampaignBusyError) else 400
             return (status, _json_body({"error": str(exc)}),
                     "application/json")
         except ValueError as exc:

@@ -21,7 +21,7 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
-from repro.errors import SnifferError
+from repro.errors import CodecError, SnifferError
 from repro.ll.access_address import ADVERTISING_ACCESS_ADDRESS
 from repro.ll.connection import ConnectionParams
 from repro.ll.csa1 import Csa1
@@ -180,7 +180,7 @@ class ConnectionSniffer:
             return
         try:
             pdu = decode_advertising_pdu(frame.pdu)
-        except Exception:
+        except CodecError:
             return
         if not isinstance(pdu, ConnectReq):
             return

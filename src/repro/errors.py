@@ -88,6 +88,13 @@ class ConfigurationError(ReproError):
     """Invalid experiment or model configuration."""
 
 
+class CampaignBusyError(ConfigurationError):
+    """A campaign was submitted while another is still being served.
+
+    The service maps this type, and only this type, to HTTP 409 Conflict.
+    """
+
+
 class ServiceError(ReproError):
     """The campaign service (coordinator, worker, or client) failed.
 

@@ -14,14 +14,22 @@ two orders of magnitude.
 arithmetic.  Whenever the event queue holds *exactly* the steady-state trio
 (the Slave's window-open and window-close events and the Master's
 connection event) and a conservative eligibility audit passes, the engine
-computes each cycle directly — CSA channel, SN/NESN ARQ bits, SleepClock
+computes the cycles directly — CSA channel, SN/NESN ARQ bits, SleepClock
 drift/jitter, path-loss shadowing — emitting the *same* trace records,
 metric increments and RNG stream consumption the reference path would
 produce, then writes the end state back and lets the reference engine
-resume.  Anything it cannot replicate bit-for-bit (pending procedures,
-queued data, an attacker radio in play, a window edge within float
-tolerance of a frame boundary) disengages it *before* any RNG draw, so the
-reference path takes over mid-trial with no divergence.
+resume.  It works in numpy blocks of up to ``_BLOCK_CYCLES`` cycles: one
+block draws its jitter as arrays, accumulates the Master anchors
+sequentially, derives every other time elementwise in the reference's
+float-operation order, and commits exactly the cycles before the first
+one it cannot replicate bit-for-bit (the Master outside the Slave's
+window, a window edge within float tolerance of a frame boundary, the
+event budget, the run horizon, supervision).  Uncommitted cycles have no
+side effect: their buffered jitter draws are replayed away on unwind, and
+shadowing draws and frame ids are claimed only for committed cycles.
+State the audit rules out (pending procedures, queued data, an attacker
+radio in play) keeps the engine disengaged, so the reference path takes
+over mid-trial with no divergence.
 
 The same engine has a second closed-form mode for the *idle advertising
 tail*: after an ``LL_TERMINATE_IND`` the Peripheral drops the connection
@@ -46,8 +54,11 @@ from __future__ import annotations
 
 import heapq
 import os
-from collections import deque
+from collections import Counter, deque
+from itertools import islice
 from typing import TYPE_CHECKING, Optional
+
+import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.ll.access_address import ADVERTISING_ACCESS_ADDRESS
@@ -109,6 +120,16 @@ _ADV_CHANNELS = (37, 38, 39)
 #: Events one advertising cycle fires: ``adv-cycle`` plus, per channel,
 #: ``medium-finish``, ``adv-listen`` and ``adv-listen-timeout``.
 _ADV_CYCLE_EVENTS = 1 + 3 * len(_ADV_CHANNELS)
+
+#: Connection events one block of the quiet-cycle mode computes at most;
+#: bounds the engine's arrays whatever the stretch length.
+_BLOCK_CYCLES = 512
+
+#: A lower bound on a connection interval's true length as a fraction of
+#: its nominal length (clock drift plus jitter), used only to size blocks.
+_MIN_PERIOD_FRACTION = 0.99
+
+_NO_DRAWS = np.empty(0)
 
 _events_fast_forwarded = 0
 
@@ -185,8 +206,10 @@ class _StreamBuffer:
     ``uniform(a, b)`` calls do (same values, same end state), so the engine
     can amortise RNG overhead by drawing blocks — and, once done, rewind to
     the saved state and replay exactly the consumed count so the reference
-    path continues on an identical stream.  With ``rng`` ``None`` nothing
-    is drawn and every value is ``a`` (a zero-sigma normal).
+    path continues on an identical stream.  :meth:`peek` hands out the next
+    draws as an array without consuming them; :meth:`consume` commits a
+    prefix of them.  With ``rng`` ``None`` nothing is drawn and every value
+    is ``a`` (a zero-sigma normal).
     """
 
     __slots__ = ("_rng", "_draw", "_a", "_b", "_values", "_pos",
@@ -199,27 +222,39 @@ class _StreamBuffer:
         self._draw = None if rng is None else getattr(rng, method)
         self._a = a
         self._b = b
-        self._values: list = []
+        self._values = _NO_DRAWS
         self._pos = 0
         self._consumed = 0
         self._saved_state = None
 
-    def _refill(self) -> None:
-        """Draw the next block, saving the pre-engagement state once."""
+    def _refill(self, need: int = 1) -> None:
+        """Draw another block so at least ``need`` unconsumed values are
+        buffered, saving the pre-engagement state once."""
         if self._saved_state is None:
             self._saved_state = self._rng.bit_generator.state
-        self._values = self._draw(self._a, self._b, self._BLOCK).tolist()
+        rest = self._values[self._pos:]
+        block = self._draw(self._a, self._b,
+                           max(self._BLOCK, need - len(rest)))
+        self._values = np.concatenate((rest, block)) if len(rest) else block
         self._pos = 0
 
-    def next(self) -> float:
-        """The next draw (``a``, consuming nothing, without an rng)."""
+    def peek(self, n: int) -> np.ndarray:
+        """The next ``n`` draws, not yet consumed."""
         if self._draw is None:
-            return self._a
-        if self._pos == len(self._values):
-            self._refill()
-        value = self._values[self._pos]
-        self._pos += 1
-        self._consumed += 1
+            return np.full(n, self._a)
+        if self._pos + n > len(self._values):
+            self._refill(n)
+        return self._values[self._pos:self._pos + n]
+
+    def consume(self, n: int) -> None:
+        """Commit the first ``n`` values the last :meth:`peek` returned."""
+        self._pos += n
+        self._consumed += n
+
+    def next(self) -> float:
+        """The next draw, consumed."""
+        value = float(self.peek(1)[0])
+        self.consume(1)
         return value
 
     def unwind(self) -> None:
@@ -230,7 +265,7 @@ class _StreamBuffer:
         if self._consumed:
             self._draw(self._a, self._b, self._consumed)
         self._saved_state = None
-        self._values = []
+        self._values = _NO_DRAWS
         self._pos = 0
         self._consumed = 0
 
@@ -240,6 +275,164 @@ def _jitter_buffer(clock) -> _StreamBuffer:
     sigma = clock.jitter_us
     return _StreamBuffer(clock._rng if sigma > 0.0 else None,
                          "normal", 0.0, sigma)
+
+
+def _first_true(mask: np.ndarray) -> int:
+    """Index of the first true entry of ``mask``; its length if none."""
+    index = int(mask.argmax())
+    return index if mask[index] else len(mask)
+
+
+def _add_repeated(counter, amount: float, times: int) -> None:
+    """``counter.inc(amount)`` ``times`` times, in one addition where that
+    is provably the same float: integer-valued operands and sums below
+    2**53 never round."""
+    total = counter.value + amount * times
+    if float(amount).is_integer() and float(counter.value).is_integer() \
+            and abs(total) < 2.0 ** 53:
+        counter.value = total
+        return
+    for _ in range(times):
+        counter.inc(amount)
+
+
+class _ArqSchedule:
+    """The SN/NESN bits of a quiet exchange, cycle by cycle.
+
+    In a quiet stretch every frame arrives CRC-valid, so the acknowledgement
+    state — both sides' ``transmitSeqNum``/``nextExpectedSeqNum``, whether
+    the peer acked the last PDU, and the LLID/MD a retransmission would
+    replay — follows a recurrence independent of timing.  Its state space
+    is tiny, so it is iterated once per engagement until a state repeats;
+    every later cycle indexes the periodic part.
+
+    A state is ``(m_ts, m_ne, m_pal, m_desc, s_ts, s_ne, s_pal, s_desc)``
+    (``*_desc`` is the last sent PDU's ``(llid, md)`` or ``None``); a
+    cycle's bits are ``((llid, md, sn, nesn) of the Master frame, the same
+    of the Slave response)``.
+    """
+
+    __slots__ = ("_states", "_bits", "_start")
+
+    def __init__(self, state: tuple):
+        states, bits, seen = [state], [], {state: 0}
+        while True:
+            m_ts, m_ne, m_pal, m_desc, s_ts, s_ne, _, s_desc = state
+            # The Master replays an unacknowledged PDU's LLID/MD.
+            if m_pal or m_desc is None:
+                m_desc = (_LLID_EMPTY, 0)
+            m_sn, m_nesn = m_ts, m_ne
+            # Slave receives the Master frame (always CRC-valid here).
+            if m_sn == s_ne:
+                s_ne ^= 1
+            s_pal = m_nesn != s_ts
+            if s_pal:
+                s_ts ^= 1
+            if s_pal or s_desc is None:
+                s_desc = (_LLID_EMPTY, 0)
+            s_sn, s_nesn = s_ts, s_ne
+            # Master receives the Slave response.
+            if s_sn == m_ne:
+                m_ne ^= 1
+            m_pal = s_nesn != m_ts
+            if m_pal:
+                m_ts ^= 1
+            bits.append((m_desc + (m_sn, m_nesn), s_desc + (s_sn, s_nesn)))
+            # The Slave's note_sent clears its peer-acked flag.
+            state = (m_ts, m_ne, m_pal, m_desc, s_ts, s_ne, False, s_desc)
+            if state in seen:
+                break
+            seen[state] = len(states)
+            states.append(state)
+        self._states = states
+        self._bits = bits
+        self._start = seen[state]
+
+    def _index(self, cycle: int) -> int:
+        if cycle < len(self._bits):
+            return cycle
+        start = self._start
+        return start + (cycle - start) % (len(self._bits) - start)
+
+    def state(self, cycle: int) -> tuple:
+        """The state before ``cycle`` (0 = the engagement's first)."""
+        return self._states[self._index(cycle)]
+
+    def bits(self, cycle: int) -> tuple:
+        """The PDU bits both frames of ``cycle`` carry."""
+        return self._bits[self._index(cycle)]
+
+
+def _sent_descriptor(conn) -> Optional[tuple]:
+    """``(llid, md)`` of the connection's last sent PDU, if any."""
+    last = conn._last_sent
+    return None if last is None else (int(last.header.llid), last.header.md)
+
+
+class _HopSequence:
+    """An engagement's connection events by cycle (0 = its first): event
+    counters, CSA#1 unmapped channels and data channels, from the Slave's
+    side of the connection (one selector step ahead of the Master's)."""
+
+    __slots__ = ("_first_event", "_csa2", "_unmapped0", "_hop", "_table")
+
+    def __init__(self, conn):
+        selector = conn.selector
+        self._first_event = conn.event_count
+        self._csa2 = selector if conn.params.use_csa2 else None
+        if self._csa2 is None:
+            self._unmapped0 = selector._last_unmapped
+            self._hop = selector.hop_increment
+            self._table = np.array([selector._map(unmapped) for unmapped
+                                    in range(NUM_DATA_CHANNELS)])
+
+    def event_count(self, cycle: int) -> int:
+        return (self._first_event + cycle) & 0xFFFF
+
+    def unmapped(self, cycle: int) -> int:
+        """CSA#1's unmapped channel of ``cycle``."""
+        return (self._unmapped0 + cycle * self._hop) % NUM_DATA_CHANNELS
+
+    def channel(self, cycle: int) -> int:
+        if self._csa2 is not None:
+            return self._csa2.channel_for_event(self.event_count(cycle))
+        return int(self._table[self.unmapped(cycle)])
+
+    def channels(self, cycle: int, n: int) -> list:
+        """The channels of cycles ``cycle .. cycle + n - 1``."""
+        if self._csa2 is not None:
+            return [self.channel(c) for c in range(cycle, cycle + n)]
+        unmapped = (self._unmapped0 + np.arange(cycle, cycle + n) * self._hop
+                    ) % NUM_DATA_CHANNELS
+        return self._table[unmapped].tolist()
+
+
+#: What the per-cycle reference would raise, in its check order, if an
+#: invariant the engagement margins guarantee failed anyway: a master frame
+#: faded out, a slave frame faded out, a missed response deadline, or the
+#: next cycle's events firing before the response completes.
+_INVARIANT_MESSAGES = (
+    "fast-forward: master frame faded below the slave's sensitivity floor "
+    "despite the engagement margin",
+    "fast-forward: slave frame faded below the master's sensitivity floor "
+    "despite the engagement margin",
+    "fast-forward: slave response would miss the master's response deadline",
+    "fast-forward: next cycle's events would fire before the current "
+    "response completes",
+)
+
+
+def _check_invariants(faults: tuple) -> None:
+    """Raise the error of the first failing cycle, as the reference would.
+
+    ``faults`` holds one boolean mask per :data:`_INVARIANT_MESSAGES` entry.
+    """
+    first = min(_first_true(mask) for mask in faults)
+    if first == len(faults[0]):
+        return
+    for mask, message in zip(faults, _INVARIANT_MESSAGES):
+        if mask[first]:
+            raise SimulationError(message)
 
 
 class QuietCycleEngine:
@@ -462,7 +655,7 @@ class QuietCycleEngine:
         return s_sel._map(s_sel._last_unmapped) == sconn.current_channel
 
     # ------------------------------------------------------------------
-    # The batched cycle loop
+    # The block computation
     # ------------------------------------------------------------------
 
     def _pdu_bytes(self, llid: int, md: int, sn: int, nesn: int,
@@ -478,6 +671,24 @@ class QuietCycleEngine:
         return hit
 
     def _run(self, trio, until_us: Optional[float], budget: int) -> int:
+        """Forward quiet connection events in blocks of at most
+        ``_BLOCK_CYCLES`` cycles.
+
+        A block computes every cycle's timing as numpy arrays: the Master
+        anchors by a sequential ``np.add.accumulate`` (bit-identical to
+        repeated addition), everything else by elementwise IEEE arithmetic
+        in the reference's operation order, assuming the Master's next
+        event is not clamped to the end of the Slave's response.  It then
+        finds the first cycle a bail-out stops (window order, a window edge
+        within float tolerance of the frame end, the event budget, the run
+        horizon, supervision) and the first cycle whose clamp is active,
+        and commits exactly the cycles before the stop — or through the
+        clamped cycle, after which the next block starts from the clamped
+        time.  Only committed cycles claim shadowing draws and frame ids
+        and produce trace records, metrics and the recent-frame tail; the
+        jitter draws of uncommitted cycles stay buffered and are dropped
+        by the unwind.
+        """
         sim, medium, master, slave = self.sim, self.medium, self.master, self.slave
         ev_open, ev_close, ev_master = trio
         mconn, sconn = master.conn, slave.conn
@@ -494,18 +705,13 @@ class QuietCycleEngine:
         # Latest event of a cycle is the Slave response's end, which the
         # deadline invariant bounds below end_m + T_IFS + grace.
         horizon_pad = frame_dur + T_IFS_US + _RESPONSE_GRACE_US
-
-        use_csa2 = mp.use_csa2
-        m_sel, s_sel = mconn.selector, sconn.selector
-        hop = 0 if use_csa2 else s_sel.hop_increment
-        unmapped = 0 if use_csa2 else s_sel._last_unmapped
-        channel = sconn.current_channel
+        min_period = interval_us * _MIN_PERIOD_FRACTION
+        hops = _HopSequence(sconn)
 
         mr, sr = master.radio, slave.radio
         path_loss = medium.path_loss
         topology = medium.topology
-        sigma = path_loss.shadowing_sigma_db
-        draw_shadow = sigma > 0.0
+        draw_shadow = path_loss.shadowing_sigma_db > 0.0
 
         # Only the counterpart links matter for a quiet cycle (eligibility
         # proved nobody else is listening).  Shadowing draws come from the
@@ -532,209 +738,155 @@ class QuietCycleEngine:
 
         s_jitter = _jitter_buffer(slave.clock)
         m_jitter = _jitter_buffer(master.clock)
+        arq = _ArqSchedule((
+            mconn.transmit_seq_num, mconn.next_expected_seq_num,
+            mconn._peer_acked_last, _sent_descriptor(mconn),
+            sconn.transmit_seq_num, sconn.next_expected_seq_num,
+            sconn._peer_acked_last, _sent_descriptor(sconn)))
 
-        event_count = sconn.event_count
         t_open, t_close, t_master = \
             ev_open.time_us, ev_close.time_us, ev_master.time_us
-        m_ts, m_ne = mconn.transmit_seq_num, mconn.next_expected_seq_num
-        s_ts, s_ne = sconn.transmit_seq_num, sconn.next_expected_seq_num
-        m_pal = mconn._peer_acked_last
-        s_pal = sconn._peer_acked_last
-        m_desc = None if mconn._last_sent is None else (
-            int(mconn._last_sent.header.llid), mconn._last_sent.header.md)
-        s_desc = None if sconn._last_sent is None else (
-            int(sconn._last_sent.header.llid), sconn._last_sent.header.md)
-        m_lv = mconn.last_valid_rx_local_us
-        s_lv = sconn.last_valid_rx_local_us
         m_anchor = master._anchor_local
-
+        m_lv = mconn.last_valid_rx_local_us
         trace = sim.trace
         metrics = medium._metrics
-        next_frame_id = _signal._frame_ids.__next__
         retained: deque = deque()
         fired = 0
         cycles = 0
-        # Final-cycle snapshots for write-back.
+        # Last committed cycle, for write-back.
         last_t_master = last_end_m = last_end_r = 0.0
-        last_anchor_s = 0.0
-        last_channel = 0
-        last_unmapped = 0
-        last_m_bits = last_s_bits = (0, 0)
 
         while True:
-            # -- pre-draw bail-outs: disengage with zero side effects ----
-            if not (t_open <= t_master < t_close):
-                break
-            end_m = t_master + frame_dur
-            if end_m - TIME_EPS_US <= t_close <= end_m:
-                break  # window edge within float tolerance of the frame end
-            cycle_events = 7 if t_close < end_m else 6
-            if fired + cycle_events >= budget:
-                break  # the reference loop must fire the budget's last event
-            if until_us is not None and t_master + horizon_pad > until_us:
-                break
-            if t_master * rate_m - m_lv > timeout_us:
-                break  # Master supervision would expire: reference path
+            # Size the block to what the budget and the horizon allow (a
+            # short estimate only costs another block).
+            n = min(_BLOCK_CYCLES, (budget - fired) // 6 + 1)
+            if until_us is not None \
+                    and until_us - t_master < _BLOCK_CYCLES * min_period:
+                n = min(n, int((until_us - t_master) / min_period) + 2)
+            n = max(n, 1)
 
-            # -- pure ARQ/PDU arithmetic (still reversible) --------------
-            if not m_pal and m_desc is not None:
-                m_llid, m_md = m_desc
-            else:
-                m_llid, m_md = _LLID_EMPTY, 0
-            m_sn, m_nesn = m_ts, m_ne
-            m_desc = (m_llid, m_md)
-            m_bytes, m_crc = self._pdu_bytes(m_llid, m_md, m_sn, m_nesn,
-                                             crc_init)
-            # Slave receives the Master frame (always CRC-valid here).
-            if m_sn == s_ne:
-                s_ne ^= 1
-            if m_nesn != s_ts:
-                s_ts ^= 1
-                s_pal = True
-            else:
-                s_pal = False
-            if not s_pal and s_desc is not None:
-                s_llid, s_md = s_desc
-            else:
-                s_llid, s_md = _LLID_EMPTY, 0
-            s_sn, s_nesn = s_ts, s_ne
-            s_desc = (s_llid, s_md)
-            s_pal = False  # note_sent
-            s_bytes, s_crc = self._pdu_bytes(s_llid, s_md, s_sn, s_nesn,
-                                             crc_init)
-            # Master receives the Slave response.
-            if s_sn == m_ne:
-                m_ne_next = m_ne ^ 1
-            else:
-                m_ne_next = m_ne
-            if s_nesn != m_ts:
-                m_ts_next = m_ts ^ 1
-                m_pal_next = True
-            else:
-                m_ts_next = m_ts
-                m_pal_next = False
-
-            # -- draws: the cycle is now committed -----------------------
-            frame_id_m = next_frame_id()
-            seq_m = m_seq
-            m_seq += 1
-            loss = mean_m_to_s + ms_shadow.value(seq_m) if draw_shadow \
-                else mean_m_to_s
-            p_slave = m_tx_power - loss
-            if p_slave < floor_s:
-                raise SimulationError(
-                    "fast-forward: master frame faded below the slave's "
-                    "sensitivity floor despite the engagement margin")
-            response_jitter = s_jitter.next()
-            t_response = end_m + T_IFS_US \
-                + max(response_jitter, _RESPONSE_JITTER_FLOOR_US)
-            frame_id_s = next_frame_id()
-            seq_s = s_seq
-            s_seq += 1
-            loss = mean_s_to_m + sm_shadow.value(seq_s) if draw_shadow \
-                else mean_s_to_m
-            p_master = s_tx_power - loss
-            if p_master < floor_m:
-                raise SimulationError(
-                    "fast-forward: slave frame faded below the master's "
-                    "sensitivity floor despite the engagement margin")
-            end_r = t_response + frame_dur
-            deadline = end_m + T_IFS_US + _RESPONSE_GRACE_US
-            if end_r >= deadline:
-                raise SimulationError(
-                    "fast-forward: slave response would miss the master's "
-                    "response deadline")
-            anchor_s = t_master * rate_s
-            s_lv = end_m * rate_s
-            predicted_s = anchor_s + 1 * interval_us
+            # -- timing of n cycles, before any side effect --------------
+            # Slave jitters per cycle: response, next window open, close.
+            jitter_s = s_jitter.peek(3 * n).reshape(n, 3)
+            jitter_m = m_jitter.peek(n)
+            steps = np.full(n + 1, interval_us)
+            steps[0] = m_anchor
+            anchors = np.add.accumulate(steps)
+            # The Master's next event, before its clamp to the response end.
+            free_master = anchors[1:] / rate_m + jitter_m
+            t_m = np.concatenate(((t_master,), free_master[:-1]))
+            end_m = t_m + frame_dur
+            after_ifs = end_m + T_IFS_US
+            t_resp = after_ifs + np.maximum(jitter_s[:, 0],
+                                            _RESPONSE_JITTER_FLOOR_US)
+            end_r = t_resp + frame_dur
+            anchor_s = t_m * rate_s
+            predicted_s = anchor_s + interval_us
             widening = widen_scale * (
                 drift_k * (predicted_s - anchor_s)
                 + WINDOW_WIDENING_CONSTANT_US)
-            next_open = max(
-                (predicted_s - widening) / rate_s + s_jitter.next(),
-                t_response)
-            next_close = max(
-                (predicted_s + widening) / rate_s + s_jitter.next(),
-                t_response)
-            m_lv = end_r * rate_m
-            m_anchor = m_anchor + interval_us
-            next_master = max(m_anchor / rate_m + m_jitter.next(), end_r)
-            if next_open < end_r or next_close < end_r or next_master < end_r:
-                raise SimulationError(
-                    "fast-forward: next cycle's events would fire before "
-                    "the current response completes")
+            next_open = np.maximum(
+                (predicted_s - widening) / rate_s + jitter_s[:, 1], t_resp)
+            next_close = np.maximum(
+                (predicted_s + widening) / rate_s + jitter_s[:, 2], t_resp)
+            t_o = np.concatenate(((t_open,), next_open[:-1]))
+            t_c = np.concatenate(((t_close,), next_close[:-1]))
+            lv_m = np.concatenate(((m_lv,), end_r[:-1] * rate_m))
+            used = fired + np.cumsum(np.where(t_c < end_m, 7, 6))
 
-            # -- observable side effects, exactly as the reference -------
+            # -- where the block ends -------------------------------------
+            stop = (t_o > t_m) | (t_m >= t_c)
+            # A window edge within float tolerance of the frame end.
+            stop |= (end_m - TIME_EPS_US <= t_c) & (t_c <= end_m)
+            # The reference loop must fire the budget's last event.
+            stop |= used >= budget
+            if until_us is not None:
+                stop |= t_m + horizon_pad > until_us
+            # Master supervision would expire: reference path.
+            stop |= t_m * rate_m - lv_m > timeout_us
+            stop_at = _first_true(stop)
+            clamp_at = _first_true(free_master < end_r)
+            k = stop_at if stop_at <= clamp_at else clamp_at + 1
+            if k == 0:
+                break
+
+            # -- the first k cycles are now committed ---------------------
+            if draw_shadow:
+                p_slave = m_tx_power - (
+                    mean_m_to_s + ms_shadow.values(m_seq, k))
+                p_master = s_tx_power - (
+                    mean_s_to_m + sm_shadow.values(s_seq, k))
+            else:
+                p_slave = np.full(k, m_tx_power - mean_m_to_s)
+                p_master = np.full(k, s_tx_power - mean_s_to_m)
+            end_r_k = end_r[:k]
+            _check_invariants((
+                p_slave < floor_s,
+                p_master < floor_m,
+                end_r_k >= after_ifs[:k] + _RESPONSE_GRACE_US,
+                (next_open[:k] < end_r_k) | (next_close[:k] < end_r_k)))
+            s_jitter.consume(3 * k)
+            m_jitter.consume(k)
+            frame_ids = _signal._frame_ids
+            first_id = next(frame_ids)
+            next(islice(frame_ids, 2 * k - 1, 2 * k - 1), None)
+
+            channels = hops.channels(cycles, k) \
+                if trace.enabled or metrics.enabled else None
             if trace.enabled:
-                s_name, m_name = slave.name, master.name
-                trace.record(t_open, s_name, "window-open",
-                             channel=channel, event_count=event_count)
-                trace.record(t_master, s_name, "rx-lock",
-                             frame_id=frame_id_m, channel=channel,
-                             rssi_dbm=p_slave)
-                trace.record(t_master, m_name, "tx",
-                             channel=channel, aa=aa, pdu_len=2,
-                             frame_id=frame_id_m)
-                trace.record(t_master, m_name, "master-tx",
-                             event_count=event_count, sn=m_sn, nesn=m_nesn,
-                             channel=channel)
-                trace.record(end_m, s_name, "rx",
-                             frame_id=frame_id_m, corrupted=False,
-                             rssi_dbm=p_slave)
-                trace.record(end_m, s_name, "anchor",
-                             event_count=event_count, anchor_us=t_master,
-                             frame_id=frame_id_m)
-                trace.record(t_response, m_name, "rx-lock",
-                             frame_id=frame_id_s, channel=channel,
-                             rssi_dbm=p_master)
-                trace.record(t_response, s_name, "tx",
-                             channel=channel, aa=aa, pdu_len=2,
-                             frame_id=frame_id_s)
-                trace.record(t_response, s_name, "slave-response",
-                             sn=s_sn, nesn=s_nesn, event_count=event_count)
-                trace.record(end_r, m_name, "rx",
-                             frame_id=frame_id_s, corrupted=False,
-                             rssi_dbm=p_master)
-                trace.record(end_r, m_name, "slave-heard",
-                             event_count=event_count, sn=s_sn, nesn=s_nesn)
+                self._trace_block(arq, hops, cycles, first_id, aa, channels,
+                                  t_o[:k].tolist(), t_m[:k].tolist(),
+                                  end_m[:k].tolist(), t_resp[:k].tolist(),
+                                  end_r_k.tolist(), p_slave.tolist(),
+                                  p_master.tolist())
             if metrics.enabled:
-                medium._m_tx.inc()
-                airtime = medium._m_airtime.get(channel)
-                if airtime is None:
-                    airtime = medium._m_airtime[channel] = metrics.counter(
-                        f"medium.airtime_us.ch{channel:02d}")
-                airtime.inc(frame_dur)
-                medium._m_tx.inc()
-                airtime.inc(frame_dur)
-                medium._m_rx.inc()
-                medium._m_rx.inc()
+                medium._m_tx.inc(2 * k)
+                medium._m_rx.inc(2 * k)
+                for channel, count in Counter(channels).items():
+                    airtime = medium._m_airtime.get(channel)
+                    if airtime is None:
+                        airtime = medium._m_airtime[channel] = \
+                            metrics.counter(
+                                f"medium.airtime_us.ch{channel:02d}")
+                    _add_repeated(airtime, frame_dur, 2 * count)
 
-            retained.append((frame_id_m, t_master, end_m, channel,
-                             m_bytes, m_crc, p_slave, mr, sr_tid, seq_m))
-            retained.append((frame_id_s, t_response, end_r, channel,
-                             s_bytes, s_crc, p_master, sr, mr_tid, seq_s))
-            prune_before = end_r - _RECENT_HORIZON_US
+            # The recent-frame tail: frames ending within the collision
+            # horizon of the last response (frame ends only grow).
+            last = k - 1
+            last_end_r = float(end_r[last])
+            prune_before = last_end_r - _RECENT_HORIZON_US
             while retained and retained[0][2] < prune_before:
                 retained.popleft()
+            for i in range(int(np.searchsorted(end_r_k, prune_before)), k):
+                channel = hops.channel(cycles + i)
+                m_bits, s_bits = arq.bits(cycles + i)
+                if end_m[i] >= prune_before:
+                    retained.append((
+                        first_id + 2 * i, float(t_m[i]), float(end_m[i]),
+                        channel, *self._pdu_bytes(*m_bits, crc_init),
+                        float(p_slave[i]), mr, sr_tid, m_seq + i))
+                retained.append((
+                    first_id + 2 * i + 1, float(t_resp[i]), float(end_r[i]),
+                    channel, *self._pdu_bytes(*s_bits, crc_init),
+                    float(p_master[i]), sr, mr_tid, s_seq + i))
 
-            # -- roll the loop state to the next cycle -------------------
-            fired += cycle_events
-            cycles += 1
-            m_ne, m_ts, m_pal = m_ne_next, m_ts_next, m_pal_next
-            last_t_master, last_end_m, last_end_r = t_master, end_m, end_r
-            last_anchor_s = anchor_s
-            last_channel = channel
-            last_unmapped = unmapped
-            last_m_bits = (m_sn, m_nesn)
-            last_s_bits = (s_sn, s_nesn)
-            event_count = (event_count + 1) & 0xFFFF
-            if use_csa2:
-                channel = s_sel.channel_for_event(event_count)
-            else:
-                unmapped = (unmapped + hop) % NUM_DATA_CHANNELS
-                channel = s_sel._map(unmapped)
-            t_open, t_close, t_master = next_open, next_close, next_master
+            # -- roll the state to the block's next cycle -----------------
+            t_open = float(next_open[last])
+            t_close = float(next_close[last])
+            t_master = max(float(free_master[last]), last_end_r)
+            m_anchor = float(anchors[k])
+            m_lv = last_end_r * rate_m
+            last_t_master = float(t_m[last])
+            last_end_m = float(end_m[last])
+            m_seq += k
+            s_seq += k
+            fired = int(used[last])
+            cycles += k
+            if k == stop_at < n:
+                break  # a bail-out, not a clamp or the block's end
 
+        s_jitter.unwind()
+        m_jitter.unwind()
         if cycles == 0:
             return 0
 
@@ -745,15 +897,13 @@ class QuietCycleEngine:
         # indexed by transmission counter, so the reference path picks up
         # at the written-back counters with identical values.
         # ------------------------------------------------------------------
-        s_jitter.unwind()
-        m_jitter.unwind()
-
         sim._now = last_end_r
         ev_open.cancel()
         ev_close.cancel()
         ev_master.cancel()
         # Recreate the trio in the reference's creation order (window-open,
         # window-close, master event) so time ties break identically.
+        channel = hops.channel(cycles)
         sim.schedule_at(t_open,
                         lambda ch=channel: slave._window_open(ch),
                         self._wo_label)
@@ -764,6 +914,10 @@ class QuietCycleEngine:
         slave._window_close = new_close
         slave._pending_events.append(new_close)
 
+        m_ts, m_ne, m_pal, m_desc, s_ts, s_ne, s_pal, s_desc = \
+            arq.state(cycles)
+        m_bits, s_bits = arq.bits(cycles - 1)
+        event_count = hops.event_count(cycles)
         mconn.event_count = event_count
         sconn.event_count = event_count
         mconn.transmit_seq_num, mconn.next_expected_seq_num = m_ts, m_ne
@@ -771,22 +925,20 @@ class QuietCycleEngine:
         mconn._peer_acked_last = m_pal
         sconn._peer_acked_last = s_pal
         mconn._last_sent = DataPdu.make(
-            LLID(m_desc[0]), b"", sn=last_m_bits[0], nesn=last_m_bits[1],
-            md=m_desc[1])
+            LLID(m_desc[0]), b"", sn=m_bits[2], nesn=m_bits[3], md=m_desc[1])
         sconn._last_sent = DataPdu.make(
-            LLID(s_desc[0]), b"", sn=last_s_bits[0], nesn=last_s_bits[1],
-            md=s_desc[1])
+            LLID(s_desc[0]), b"", sn=s_bits[2], nesn=s_bits[3], md=s_desc[1])
         mconn.last_valid_rx_local_us = m_lv
-        sconn.last_valid_rx_local_us = s_lv
-        mconn.current_channel = last_channel
+        sconn.last_valid_rx_local_us = last_end_m * rate_s
+        mconn.current_channel = hops.channel(cycles - 1)
         sconn.current_channel = channel
-        if not use_csa2:
-            m_sel._last_unmapped = last_unmapped
-            s_sel._last_unmapped = unmapped
+        if not mp.use_csa2:
+            mconn.selector._last_unmapped = hops.unmapped(cycles - 1)
+            sconn.selector._last_unmapped = hops.unmapped(cycles)
         master._anchor_local = m_anchor
         master._awaiting_response = False
         master._response_deadline = None
-        slave._anchor_local = last_anchor_s
+        slave._anchor_local = last_t_master * rate_s
         slave._events_since_anchor = 1
 
         mr._tx_until_us = last_end_m
@@ -809,6 +961,44 @@ class QuietCycleEngine:
         global _events_fast_forwarded
         _events_fast_forwarded += fired
         return fired
+
+    def _trace_block(self, arq: "_ArqSchedule", hops: "_HopSequence",
+                     cycle0: int, first_id: int, aa: int, channels: list,
+                     t_open: list, t_master: list, end_m: list,
+                     t_response: list, end_r: list, p_slave: list,
+                     p_master: list) -> None:
+        """The trace records of a block's committed cycles, in the
+        reference's order."""
+        record = self.sim.trace.record
+        s_name, m_name = self.slave.name, self.master.name
+        for i, channel in enumerate(channels):
+            event_count = hops.event_count(cycle0 + i)
+            m_bits, s_bits = arq.bits(cycle0 + i)
+            frame_id_m = first_id + 2 * i
+            frame_id_s = frame_id_m + 1
+            t_m, t_r = t_master[i], t_response[i]
+            record(t_open[i], s_name, "window-open",
+                   channel=channel, event_count=event_count)
+            record(t_m, s_name, "rx-lock", frame_id=frame_id_m,
+                   channel=channel, rssi_dbm=p_slave[i])
+            record(t_m, m_name, "tx", channel=channel, aa=aa, pdu_len=2,
+                   frame_id=frame_id_m)
+            record(t_m, m_name, "master-tx", event_count=event_count,
+                   sn=m_bits[2], nesn=m_bits[3], channel=channel)
+            record(end_m[i], s_name, "rx", frame_id=frame_id_m,
+                   corrupted=False, rssi_dbm=p_slave[i])
+            record(end_m[i], s_name, "anchor", event_count=event_count,
+                   anchor_us=t_m, frame_id=frame_id_m)
+            record(t_r, m_name, "rx-lock", frame_id=frame_id_s,
+                   channel=channel, rssi_dbm=p_master[i])
+            record(t_r, s_name, "tx", channel=channel, aa=aa, pdu_len=2,
+                   frame_id=frame_id_s)
+            record(t_r, s_name, "slave-response", sn=s_bits[2],
+                   nesn=s_bits[3], event_count=event_count)
+            record(end_r[i], m_name, "rx", frame_id=frame_id_s,
+                   corrupted=False, rssi_dbm=p_master[i])
+            record(end_r[i], m_name, "slave-heard", event_count=event_count,
+                   sn=s_bits[2], nesn=s_bits[3])
 
     # ------------------------------------------------------------------
     # Idle advertising cycles

@@ -75,6 +75,8 @@ from collections import deque
 from itertools import chain
 from typing import TYPE_CHECKING, Optional
 
+import numpy as np
+
 from repro.errors import MediumError
 from repro.phy.collision import CollisionModel, Overlap
 from repro.phy.path_loss import PathLossModel
@@ -170,20 +172,47 @@ class _LinkShadow:
 
     def value(self, seq: int) -> float:
         """The link's shadowing draw for transmission index ``seq``, in dB."""
-        pending = self._pending
-        if seq < self._produced:
-            return pending.pop(seq)
-        need = seq + 1 - self._produced
-        block = self._rng.normal(0.0, self._sigma, max(need, self._BLOCK))
         base = self._produced
-        for offset, draw in enumerate(block):
-            pending[base + offset] = float(draw)
-        self._produced = base + len(block)
+        if seq >= base:
+            self._stash(base, self._produce(seq + 1))
+        return self._pending.pop(seq)
+
+    def values(self, start: int, n: int) -> np.ndarray:
+        """The draws for indexes ``start .. start + n - 1`` as one array.
+
+        Claims exactly what ``n`` :meth:`value` calls would: earlier draws
+        come out of ``_pending``, and fresh draws outside the range wait
+        there.
+        """
+        end = start + n
+        base = self._produced
+        pending = self._pending
+        claimed = [pending.pop(seq) for seq in range(start, min(end, base))]
+        if end <= base:
+            return np.array(claimed)
+        block = self._produce(end)
+        lo, hi = max(start - base, 0), end - base
+        self._stash(base, block[:lo])
+        self._stash(base + hi, block[hi:])
+        fresh = block[lo:hi]
+        return np.concatenate((claimed, fresh)) if claimed else fresh
+
+    def _produce(self, end: int) -> np.ndarray:
+        """Draw the next block, reaching at least index ``end - 1``."""
+        block = self._rng.normal(0.0, self._sigma,
+                                 max(end - self._produced, self._BLOCK))
+        self._produced += len(block)
+        return block
+
+    def _stash(self, first: int, draws: np.ndarray) -> None:
+        """Keep unclaimed ``draws`` (indexes from ``first``) for later."""
+        pending = self._pending
+        for seq, draw in enumerate(draws.tolist(), first):
+            pending[seq] = draw
         if len(pending) > self._PENDING_MAX:
             cutoff = self._produced - self._PENDING_MAX
             for key in [k for k in pending if k < cutoff]:
                 del pending[key]
-        return pending.pop(seq)
 
 
 class Medium:

@@ -418,6 +418,30 @@ class TestHttpApi:
         assert wrong_method[0] == 405
         assert health[0] == 200 and json.loads(health[1]) == {"ok": True}
 
+    def test_conflict_status_follows_the_error_type(self, tmp_path):
+        # Only CampaignBusyError is a 409; any other library error is a
+        # 400, whatever its message says.
+        from repro.errors import CampaignBusyError
+
+        coordinator = Coordinator(clock=_Clock())
+        server = ServiceServer(coordinator)
+        try:
+            for exc, status in (
+                    (ConfigurationError("spec 'x' is still being served"),
+                     400),
+                    (ServiceError("still being served"), 400),
+                    (CampaignBusyError("campaign 'x' is still being "
+                                       "served"), 409)):
+                def fail(exc=exc):
+                    raise exc
+
+                coordinator.status_payload = fail
+                code, body, _ = server._route("GET", "/status", {}, b"")
+                assert code == status
+                assert json.loads(body) == {"error": str(exc)}
+        finally:
+            coordinator.close()
+
     def test_url_and_endpoint_parsing(self):
         assert parse_url("http://127.0.0.1:8000") == ("127.0.0.1", 8000)
         assert parse_url("127.0.0.1:8000/") == ("127.0.0.1", 8000)

@@ -31,6 +31,7 @@ from repro.experiments.scenarios import (
     run_scenario_trial,
 )
 from repro.sim import fastforward
+from repro.sim.medium import RECENT_HORIZON_US
 
 #: Trace detail keys whose values are process-global frame ids.
 FRAME_ID_KEYS = ("frame_id", "locked_to")
@@ -60,12 +61,17 @@ def run_both_engines(build_and_run):
     """
     sim_ref = build_and_run(fastforward.ENGINE_REFERENCE)
     sim_fast = build_and_run(fastforward.ENGINE_FAST)
-    ref, fast = canonical_trace(sim_ref), canonical_trace(sim_fast)
-    assert len(ref) == len(fast), (
-        f"trace length diverged: reference={len(ref)} fast={len(fast)}")
+    assert_same_trace(canonical_trace(sim_ref), canonical_trace(sim_fast))
+    return sim_ref, sim_fast
+
+
+def assert_same_trace(ref: list, fast: list) -> None:
+    """Assert two canonical traces are identical, reporting only the
+    first divergence (a full diff of two long traces is very slow)."""
     for i, (a, b) in enumerate(zip(ref, fast)):
         assert a == b, f"trace diverged at record {i}:\n ref: {a}\nfast: {b}"
-    return sim_ref, sim_fast
+    assert len(ref) == len(fast), (
+        f"trace length diverged: reference={len(ref)} fast={len(fast)}")
 
 
 def _first_trial(units) -> InjectionTrial:
@@ -145,7 +151,7 @@ class TestAdversarialDisengage:
     """A foreign transmission mid-quiet-phase must not perturb anything."""
 
     @staticmethod
-    def _build(engine, attacker_tx_at=None, connect_only=False):
+    def _build(engine, attacker_tx_at=None, connect_only=False, on_tx=None):
         from repro.devices.lightbulb import Lightbulb
         from repro.ll.master import MasterLinkLayer
         from repro.ll.pdu.address import BdAddress
@@ -176,6 +182,8 @@ class TestAdversarialDisengage:
             return sim
         if attacker_tx_at is not None:
             def rogue_tx():
+                if on_tx is not None:
+                    on_tx()
                 conn = central.conn
                 attacker_radio.transmit(
                     conn.params.access_address, b"\x01\x00",
@@ -211,12 +219,21 @@ class TestAdversarialDisengage:
         # down, let the reference path absorb the disturbance (collisions,
         # retransmissions, missed events and all), then re-engage — with
         # traces still byte-identical throughout.
+        at_disturbance = {}
+
+        def build_and_run(engine):
+            def note_counter():
+                at_disturbance[engine] = fastforward.events_fast_forwarded()
+
+            return self._build(engine, attacker_tx_at=10_000_000.0,
+                               on_tx=note_counter)
+
         fastforward.reset_fast_forward_count()
-        run_both_engines(
-            lambda engine: self._build(engine, attacker_tx_at=10_000_000.0))
-        assert fastforward.events_fast_forwarded() > 0
-        counter_after_disturbance = fastforward.events_fast_forwarded()
-        assert counter_after_disturbance > 0
+        run_both_engines(build_and_run)
+        # Engaged before the rogue frame, and again after it.
+        assert at_disturbance[fastforward.ENGINE_FAST] > 0
+        assert fastforward.events_fast_forwarded() \
+            > at_disturbance[fastforward.ENGINE_FAST]
 
 
 class TestIndexedVsBroadcast:
@@ -461,6 +478,249 @@ class TestAdvertisingTail:
         for slave, central, _ in (ref, fast):
             assert slave.is_connected and central.is_connected
         assert ref[0].conn.params == fast[0].conn.params
+
+
+class TestQuietConnection:
+    """The quiet-cycle mode on bare Master/Slave worlds, randomized.
+
+    Connection parameters, clock accuracies, window widening, the channel
+    selection algorithm and a reduced channel map vary; after the
+    connection forms, the horizon is split across several ``run()`` calls
+    under small event budgets, with metrics and the trace on and off.  With
+    the trace off (the campaign path) everything a later event could
+    depend on is compared instead.
+    """
+
+    @staticmethod
+    def _build(engine, seed, interval, master_sca, slave_sca,
+               widening_scale, use_csa2, channel_map, metrics, trace):
+        from repro.ll.master import MasterLinkLayer
+        from repro.ll.pdu.address import BdAddress
+        from repro.ll.slave import SlaveLinkLayer
+        from repro.sim.fastforward import install_engine
+        from repro.sim.medium import Medium
+        from repro.sim.simulator import Simulator
+        from repro.sim.topology import Topology
+
+        sim = Simulator(seed=seed, trace_enabled=trace,
+                        metrics_enabled=metrics)
+        topo = Topology()
+        topo.place("peripheral", 0.0, 0.0)
+        topo.place("central", 2.0, 0.0)
+        medium = Medium(sim, topo)
+        slave = SlaveLinkLayer(
+            sim, medium, "peripheral",
+            BdAddress.from_str("A4:C1:38:00:00:02"),
+            adv_interval_ms=20.0, use_csa2=use_csa2, sca_ppm=slave_sca,
+            widening_scale=widening_scale)
+        central = MasterLinkLayer(
+            sim, medium, "central",
+            BdAddress.from_str("C0:FF:EE:00:00:04"),
+            interval=interval, timeout=500, channel_map=channel_map,
+            use_csa2=use_csa2, sca_ppm=master_sca)
+        install_engine(sim, medium, central, slave, engine=engine)
+        slave.start_advertising()
+        central.connect(slave.address)
+        return sim, medium, central, slave
+
+    @staticmethod
+    def _conn_state(conn):
+        if conn is None:
+            return None
+        state = dict(vars(conn))
+        selector = state.pop("selector")
+        state["selector"] = {k: v for k, v in vars(selector).items()
+                             if k != "_blocks"}
+        return state
+
+    @classmethod
+    def _observe(cls, sim, medium, central, slave) -> tuple:
+        """Everything a later event could depend on, trace aside."""
+        live = sorted((e.time_us, e.label) for _, _, e in sim._queue._heap
+                      if e.pending)
+        tx_seq = dict(medium._tx_seq)
+        next_shadowing = [
+            medium._link_shadow(sender, receiver.medium_id).value(
+                tx_seq.get(sender.medium_id, 0))
+            for sender, receiver in ((central.radio, slave.radio),
+                                     (slave.radio, central.radio))]
+        # Frames a later collision could still overlap (older ones may
+        # linger on idle channels, unobservably).
+        recent = sorted(
+            (tx.frame.end_us, tx.frame.start_us, tx.frame.channel,
+             tx.frame.pdu, tx.frame.crc, tx.frame.sender_id, tx.tx_seq,
+             tx.rx_power_dbm)
+            for frames in medium._recent_by_channel.values()
+            for tx in frames
+            if tx.frame.end_us >= sim.now - RECENT_HORIZON_US)
+        return (sim.now, live,
+                repr(central.clock._rng.bit_generator.state),
+                repr(slave.clock._rng.bit_generator.state),
+                tx_seq, next_shadowing, recent,
+                cls._conn_state(central.conn), cls._conn_state(slave.conn),
+                central._anchor_local, slave._anchor_local,
+                sim.metrics.snapshot())
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           interval=st.integers(6, 60),
+           master_sca=st.floats(0.0, 500.0),
+           slave_sca=st.floats(0.0, 500.0),
+           widening_scale=st.floats(0.5, 1.5),
+           use_csa2=st.booleans(),
+           channels=st.sets(st.integers(0, 36), min_size=2),
+           horizons=st.lists(st.floats(0.0, 8_000_000.0), min_size=1,
+                             max_size=4),
+           max_events=st.one_of(st.none(), st.integers(1, 400)),
+           metrics=st.booleans(),
+           trace=st.booleans(),
+           block=st.one_of(st.integers(1, 16), st.just(512)))
+    def test_randomized_quiet_connections(
+            self, seed, interval, master_sca, slave_sca, widening_scale,
+            use_csa2, channels, horizons, max_events, metrics, trace, block):
+        from repro.errors import SimulationError
+
+        channel_map = sum(1 << channel for channel in channels)
+        observed = {}
+        for engine in (fastforward.ENGINE_REFERENCE, fastforward.ENGINE_FAST):
+            sim, medium, central, slave = self._build(
+                engine, seed, interval, master_sca, slave_sca,
+                widening_scale, use_csa2, channel_map, metrics, trace)
+            returns = []
+            # Small blocks put many block boundaries inside one stretch.
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(fastforward, "_BLOCK_CYCLES", block)
+                sim.run(until_us=500_000)
+                for offset in sorted(horizons):
+                    try:
+                        if max_events is None:
+                            returns.append(sim.run(until_us=500_000 + offset))
+                        else:
+                            returns.append(sim.run(until_us=500_000 + offset,
+                                                   max_events=max_events))
+                    except SimulationError as exc:
+                        returns.append(str(exc))
+            observed[engine] = (
+                returns, self._observe(sim, medium, central, slave),
+                canonical_trace(sim) if trace else None)
+        ref, fast = (observed[fastforward.ENGINE_REFERENCE],
+                     observed[fastforward.ENGINE_FAST])
+        assert ref[0] == fast[0]
+        for a, b in zip(ref[1], fast[1]):
+            assert a == b
+        if trace:
+            assert_same_trace(ref[2], fast[2])
+
+    @pytest.mark.parametrize("use_csa2", [False, True])
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_engages(self, use_csa2, trace):
+        # A reduced map (CSA#1 remaps, CSA#2 remaps by its own rule) and
+        # a long quiet stretch: several blocks of cycles are forwarded.
+        channel_map = (1 << 37) - 1 - 0b1011 - (1 << 20) - (0xFF << 28)
+        observed = {}
+        fastforward.reset_fast_forward_count()
+        for engine in (fastforward.ENGINE_REFERENCE, fastforward.ENGINE_FAST):
+            sim, medium, central, slave = self._build(
+                engine, 13, 6, 50.0, 100.0, 1.0, use_csa2, channel_map,
+                True, trace)
+            sim.run(until_us=12_000_000)
+            assert central.is_connected and slave.is_connected
+            assert central.conn._selector_is_csa2 is use_csa2
+            observed[engine] = (self._observe(sim, medium, central, slave),
+                                canonical_trace(sim) if trace else [])
+        ref, fast = (observed[fastforward.ENGINE_REFERENCE],
+                     observed[fastforward.ENGINE_FAST])
+        for a, b in zip(ref[0], fast[0]):
+            assert a == b
+        assert_same_trace(ref[1], fast[1])
+        # 12 s at 7.5 ms is ~1,600 cycles: more than three blocks.
+        assert fastforward.events_fast_forwarded() \
+            > 3 * fastforward._BLOCK_CYCLES * 6
+
+    def test_clamped_master_event(self):
+        # Pull the Master's anchor back one interval: its next event is
+        # then clamped to the end of the Slave's response, a cross-cycle
+        # dependency a block cannot precompute.  The clamped cycle is
+        # committed, the engine hands over at the clamped time, and the
+        # reference absorbs the missed event.
+        observed = {}
+        fastforward.reset_fast_forward_count()
+        for engine in (fastforward.ENGINE_REFERENCE, fastforward.ENGINE_FAST):
+            sim, medium, central, slave = self._build(
+                engine, 21, 24, 50.0, 50.0, 1.0, False, (1 << 37) - 1,
+                False, True)
+            sim.run(until_us=2_000_000)
+            assert central.is_connected
+            central._anchor_local -= central.conn.params.interval_us
+            sim.run(until_us=sim.now + 2 * central.conn.params.interval_us)
+            if engine == fastforward.ENGINE_FAST:
+                assert fastforward.events_fast_forwarded() > 0
+                fastforward.reset_fast_forward_count()
+            sim.run(until_us=4_000_000)
+            observed[engine] = (self._observe(sim, medium, central, slave),
+                                canonical_trace(sim))
+        ref, fast = (observed[fastforward.ENGINE_REFERENCE],
+                     observed[fastforward.ENGINE_FAST])
+        for a, b in zip(ref[0], fast[0]):
+            assert a == b
+        assert_same_trace(ref[1], fast[1])
+
+
+class TestBlockArithmetic:
+    """The array building blocks of the quiet-cycle mode."""
+
+    def test_accumulate_matches_repeated_addition(self):
+        import numpy as np
+
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            start = float(rng.uniform(0.0, 2e8))
+            step = float(rng.choice([1250.0, 7500.0, 45_000.0,
+                                     rng.uniform(1.0, 5e6)]))
+            n = int(rng.integers(1, 700))
+            steps = np.full(n + 1, step)
+            steps[0] = start
+            accumulated = np.add.accumulate(steps).tolist()
+            value = start
+            expected = [value]
+            for _ in range(n):
+                value = value + step
+                expected.append(value)
+            assert accumulated == expected
+
+    @pytest.mark.parametrize("requests", [
+        [(0, 1), (1, 40), (41, 3)],
+        [(5, 10), (15, 600), (2, 1)],
+        [(0, 31), (40, 2), (31, 9), (42, 100)],
+    ])
+    def test_link_shadow_values_match_value(self, requests):
+        import numpy as np
+
+        from repro.sim.medium import _LinkShadow
+
+        bulk = _LinkShadow(np.random.default_rng(3), 4.0)
+        single = _LinkShadow(np.random.default_rng(3), 4.0)
+        for start, n in requests:
+            values = bulk.values(start, n)
+            assert values.tolist() == [single.value(seq) for seq
+                                       in range(start, start + n)]
+        # Whatever is still unclaimed is the same, from either side.
+        for seq in range(0, 800):
+            if seq in single._pending or seq >= single._produced:
+                assert bulk.value(seq) == single.value(seq)
+
+    def test_arq_schedule_repeats(self):
+        empty = (fastforward._LLID_EMPTY, 0)
+        start = (0, 0, True, None, 0, 0, True, None)
+        schedule = fastforward._ArqSchedule(start)
+        # Steady state: every frame acks the previous one, both SN bits
+        # toggle each cycle, so the bits repeat with period 2.
+        assert schedule.bits(0) == (empty + (0, 0), empty + (0, 1))
+        for cycle in range(2, 50):
+            assert schedule.bits(cycle) == schedule.bits(cycle - 2)
+        # The state repeats once the first cycle's PDU is on record.
+        for cycle in range(3, 50):
+            assert schedule.state(cycle) == schedule.state(cycle - 2)
 
 
 class TestStreamBuffer:

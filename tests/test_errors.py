@@ -20,6 +20,9 @@ class TestHierarchy:
     def test_scheduling_is_simulation_error(self):
         assert issubclass(errors.SchedulingError, errors.SimulationError)
 
+    def test_campaign_busy_is_configuration_error(self):
+        assert issubclass(errors.CampaignBusyError, errors.ConfigurationError)
+
     def test_sniffer_is_attack_error(self):
         assert issubclass(errors.SnifferError, errors.AttackError)
 
