@@ -153,17 +153,44 @@ def record_from_payload(obj: Dict[str, Any]) -> UnitRecord:
     Shared by the journal reader and the campaign service, whose workers
     ship records over the wire as the same payload they would journal —
     one parsing path keeps a streamed-and-merged journal byte-identical
-    to a locally written one.
+    to a locally written one.  It is also the validation boundary for
+    that input: a record the report could not fold (unknown status, an
+    ``ok`` result without a bool ``success`` or, on success, an int
+    ``attempts``; a non-object ``result``, ``failure`` or ``metrics``)
+    raises :class:`ConfigurationError` instead of being accepted —
+    journaled first-wins, it would shadow a later valid result.
     """
     unit_id = obj.get("unit_id")
     if not isinstance(unit_id, str) or not unit_id:
         raise ConfigurationError(f"unit record without a unit_id: {obj!r}")
+    status = obj.get("status")
+    if status not in ("ok", "failed"):
+        raise ConfigurationError(
+            f"unit record {unit_id!r} has status {status!r}; expected "
+            f"'ok' or 'failed'")
+    for name in ("result", "failure", "metrics"):
+        if not isinstance(obj.get(name), (dict, type(None))):
+            raise ConfigurationError(
+                f"unit record {unit_id!r}: {name} must be an object or "
+                f"null")
+    result = obj.get("result")
+    if status == "ok":
+        if result is None or not isinstance(result.get("success"), bool):
+            raise ConfigurationError(
+                f"unit record {unit_id!r}: an ok result needs a bool "
+                f"'success'")
+        attempts = result.get("attempts")
+        if result["success"] and (not isinstance(attempts, int)
+                                  or isinstance(attempts, bool)):
+            raise ConfigurationError(
+                f"unit record {unit_id!r}: a successful result needs an "
+                f"int 'attempts'")
     return UnitRecord(
         unit_id=unit_id,
         experiment=obj.get("experiment", ""),
         config_key=obj.get("config_key", ""),
-        status=obj.get("status", "failed"),
-        result=obj.get("result"),
+        status=status,
+        result=result,
         failure=obj.get("failure"),
         metrics=obj.get("metrics"),
         cached=bool(obj.get("cached", False)),
@@ -196,6 +223,9 @@ def read_journal(path: Union[str, Path]) -> Tuple[
                 break  # torn tail from a killed writer
             raise ConfigurationError(
                 f"journal {path} is corrupt at line {lineno + 1}")
+        if not isinstance(obj, dict):
+            raise ConfigurationError(
+                f"journal {path} line {lineno + 1} is not an object")
         kind = obj.get("type")
         if kind == "campaign":
             if header is None:

@@ -12,6 +12,16 @@ pure function of that journal, so the PR 5 property — kill anything
 mid-run, resume, byte-identical report — carries over verbatim to the
 distributed path.
 
+The coordinator never blocks a worker itself: when it has nothing to
+hand out it answers ``wait`` (units in flight elsewhere) or ``idle`` (no
+campaign loaded).  Transports are told when those answers may have
+gone stale through one change notification
+(:meth:`Coordinator.add_change_callback`), fired when a submit loads a
+campaign and when a result is merged — including the one that drains
+the campaign.  The server parks ``wait``/``idle`` requests on it rather
+than sending them, so an idle worker hears ``drained`` (or gets its
+unit) the moment there is news, not after a polling back-off.
+
 Wall-clock reads here are scheduling plumbing only (lease deadlines,
 steal ages, latency telemetry); they never feed trial bytes, which is
 why :mod:`repro.campaign` is exempt from the ``nondeterministic-call``
@@ -47,7 +57,10 @@ from repro.telemetry.metrics import MetricsRegistry
 #: Buckets for the lease-latency histogram (seconds, grant → result).
 LEASE_LATENCY_BUCKETS = (0.01, 0.05, 0.25, 1.0, 5.0, 30.0, 120.0, 600.0)
 
-#: Suggested worker back-off when the queue has nothing to hand out.
+#: Retry period of a ``wait``/``idle`` answer: a worker that receives
+#: one backs off this long, and the server re-handles a parked request
+#: at least this often (lease expiry and steals are time-driven, so no
+#: change notification announces them).
 DEFAULT_RETRY_S = 0.2
 
 
@@ -98,6 +111,7 @@ class Coordinator:
         self._workers_seen: Set[str] = set()
         self._subscribers: List[Any] = []  # asyncio.Queue, untyped on 3.9
         self._on_complete: List[Callable[[], None]] = []
+        self._on_change: List[Callable[[], None]] = []
         self.metrics = metrics if metrics is not None \
             else MetricsRegistry(enabled=True)
         self._m_leased = self.metrics.counter("service.units.leased")
@@ -157,6 +171,7 @@ class Coordinator:
             writer=writer, journal_path=Path(journal_path))
         if self._campaign.complete:  # resumed an already-finished journal
             self._notify_complete()
+        self._notify_change()
         return state
 
     def close(self) -> None:
@@ -231,6 +246,7 @@ class Coordinator:
                        "total": campaign.state.total})
         if campaign.complete:
             self._notify_complete()
+        self._notify_change()
         return {"op": "ack", "duplicate": False, "done": campaign.complete}
 
     def handle_message(self, message: Dict[str, Any]) -> Dict[str, Any]:
@@ -308,6 +324,22 @@ class Coordinator:
         immediately if it already has)."""
         self._on_complete.append(callback)
         if self.complete:
+            callback()
+
+    def add_change_callback(self, callback: Callable[[], None]) -> None:
+        """Run ``callback`` whenever a ``wait`` or ``idle`` answer may
+        have gone stale: after a submit and after every merged result."""
+        self._on_change.append(callback)
+
+    def remove_change_callback(self, callback: Callable[[], None]) -> None:
+        """Detach a change callback (no-op when unknown)."""
+        try:
+            self._on_change.remove(callback)
+        except ValueError:
+            pass
+
+    def _notify_change(self) -> None:
+        for callback in list(self._on_change):
             callback()
 
     def _publish(self, event: Dict[str, Any]) -> None:

@@ -137,7 +137,7 @@ class LeaseQueue:
         Pending units are granted in queue order.  With nothing pending,
         the oldest sufficiently-aged lease not already held by this
         worker is re-granted as a steal.  Returns ``None`` when there is
-        nothing to hand out (the worker should back off and retry).
+        nothing to hand out (the coordinator answers ``wait``).
         """
         self.requeue_expired(now)
         deadline = now + self.lease_timeout_s

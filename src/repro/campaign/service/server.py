@@ -8,6 +8,16 @@ as an HTTP/1.1 request.  One port keeps deployment a single address —
 workers and ``repro campaign status --url`` point at the same place —
 and makes the later multi-host story purely a configuration change.
 
+Worker requests the coordinator would answer with ``wait`` or ``idle``
+are *parked*, not answered: the server holds the request open and
+re-handles it when the coordinator reports a state change (a merged
+result, the campaign draining, a submit) and at least every
+``retry_s``, the cadence lease expiry and work stealing are checked on.
+It replies once the answer is something else, so an idle worker learns
+``drained`` — or gets its unit — as soon as there is news instead of
+after a sleep.  A parked worker that hangs up is never granted a unit:
+the server watches its reader for EOF while the request is parked.
+
 The HTTP side is deliberately minimal (hand-rolled request parsing,
 ``Connection: close`` responses) because the standard library offers no
 asyncio HTTP server and this API serves a handful of trusted clients,
@@ -36,6 +46,10 @@ from repro.errors import CampaignBusyError, ReproError, ServiceError
 #: Hard cap on worker-channel line length and HTTP body size (16 MiB) —
 #: a full unit record with merged telemetry fits with huge margin.
 MAX_MESSAGE_BYTES = 16 * 1024 * 1024
+
+#: Worker-protocol answers that mean "nothing for you yet": the server
+#: parks the request instead of sending one of these.
+_PARKED_OPS = ("wait", "idle")
 
 _HTTP_STATUS_TEXT = {
     200: "OK",
@@ -89,7 +103,10 @@ class ServiceServer:
         self.host = host
         self._requested_port = port
         self._server: Optional[asyncio.AbstractServer] = None
-        self._connections: "set[asyncio.StreamWriter]" = set()
+        self._handlers: "set[asyncio.Task[None]]" = set()
+        # Resolved (and dropped) on the coordinator's next state change;
+        # every parked request waits on the same future.
+        self._change: "Optional[asyncio.Future[None]]" = None
 
     @property
     def port(self) -> int:
@@ -109,18 +126,36 @@ class ServiceServer:
 
     async def start(self) -> None:
         """Bind and start accepting connections."""
+        self.coordinator.add_change_callback(self._on_change)
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self._requested_port)
 
     async def stop(self) -> None:
-        """Stop accepting, then close every open connection."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for writer in list(self._connections):
-            writer.close()
-        await asyncio.sleep(0)  # let handlers observe the EOF
+        """Stop accepting, then end every connection handler — parked
+        worker requests included — and wait until each has closed its
+        connection."""
+        self.coordinator.remove_change_callback(self._on_change)
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+        handlers = [task for task in self._handlers if not task.done()]
+        for task in handlers:
+            task.cancel()
+        if handlers:
+            await asyncio.wait(handlers)
+        if server is not None:
+            await server.wait_closed()
+
+    def _on_change(self) -> None:
+        """Coordinator callback: wake every parked request."""
+        change, self._change = self._change, None
+        if change is not None and not change.done():
+            change.set_result(None)
+
+    def _next_change(self) -> "asyncio.Future[None]":
+        if self._change is None:
+            self._change = asyncio.get_running_loop().create_future()
+        return self._change
 
     # ------------------------------------------------------------------
     # Connection dispatch
@@ -129,7 +164,9 @@ class ServiceServer:
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         """Sniff the first byte and route to the matching protocol."""
-        self._connections.add(writer)
+        task = asyncio.current_task()
+        assert task is not None  # start_server runs each handler as a task
+        self._handlers.add(task)
         try:
             first = await reader.read(1)
             if not first:
@@ -143,7 +180,7 @@ class ServiceServer:
         except asyncio.CancelledError:
             return  # shutdown while blocked on this peer — close quietly
         finally:
-            self._connections.discard(writer)
+            self._handlers.discard(task)
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -173,18 +210,57 @@ class ServiceServer:
                 reply: Dict[str, Any] = {"op": "error",
                                          "error": "malformed JSON"}
             else:
-                try:
-                    # Bounded blocking: the coordinator is synchronous by
-                    # contract (single loop thread) and its only I/O is
-                    # one buffered journal-line append (+ opt-in fsync);
-                    # an executor hop would serialise on the same single
-                    # writer anyway while adding cross-thread hand-off.
-                    reply = self.coordinator.handle_message(  # lint-ok: blocking-in-async bounded
-                        message)
-                except ReproError as exc:
-                    reply = {"op": "error", "error": str(exc)}
+                reply = self._handle(message)  # lint-ok: blocking-in-async bounded
+                if reply.get("op") in _PARKED_OPS:
+                    parked, pending = await self._park(message, reply,
+                                                       reader)
+                    if parked is None:
+                        return  # the worker hung up while parked
+                    reply = parked
             writer.write(_json_body(reply))
             await writer.drain()
+
+    def _handle(self, message: Any) -> Dict[str, Any]:
+        """One worker message through the coordinator; library errors
+        become ``error`` replies."""
+        if not isinstance(message, dict):
+            return {"op": "error", "error": "message is not an object"}
+        try:
+            # Bounded blocking: the coordinator is synchronous by
+            # contract (single loop thread) and its only I/O is one
+            # buffered journal-line append (+ opt-in fsync); an executor
+            # hop would serialise on the same single writer anyway while
+            # adding cross-thread hand-off.
+            return self.coordinator.handle_message(message)
+        except ReproError as exc:
+            return {"op": "error", "error": str(exc)}
+
+    async def _park(self, message: Dict[str, Any], reply: Dict[str, Any],
+                    reader: asyncio.StreamReader,
+                    ) -> Tuple[Optional[Dict[str, Any]], bytes]:
+        """Hold a ``wait``/``idle`` answer until it would say more.
+
+        Re-handles ``message`` on every coordinator state change and at
+        least every ``retry_s``.  Returns the reply to send and the
+        bytes the peer sent meanwhile (a worker speaks only after a
+        reply, so any byte ends the park with the current answer), or
+        ``(None, b"")`` once the peer has hung up.
+        """
+        peer = asyncio.ensure_future(reader.read(1))
+        try:
+            while reply.get("op") in _PARKED_OPS:
+                await asyncio.wait((peer, self._next_change()),
+                                   timeout=float(reply["retry_s"]),
+                                   return_when=asyncio.FIRST_COMPLETED)
+                if peer.done():
+                    data = peer.result()
+                    return (reply, data) if data else (None, b"")
+                reply = self._handle(message)  # lint-ok: blocking-in-async bounded
+            return reply, b""
+        finally:
+            if not peer.done():
+                peer.cancel()
+                await asyncio.wait((peer,))
 
     # ------------------------------------------------------------------
     # HTTP

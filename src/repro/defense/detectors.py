@@ -28,6 +28,7 @@ from repro.defense.api import (
     Verdict,
     register_detector,
 )
+from repro.errors import CodecError
 from repro.host.att.opcodes import AttOpcode
 from repro.host.l2cap import CID_ATT
 from repro.ll.access_address import ADVERTISING_ACCESS_ADDRESS
@@ -65,7 +66,7 @@ def _att_opcode(pdu: bytes) -> Optional[int]:
     """
     try:
         decoded = DataPdu.from_bytes(pdu)
-    except Exception:
+    except CodecError:
         return None
     if decoded.header.llid is not LLID.DATA_START:
         return None
@@ -216,7 +217,7 @@ class AnchorAnomalyDetector(Detector):
         is opaque — a documented limitation shared with real monitors."""
         try:
             decoded = DataPdu.from_bytes(pdu)
-        except Exception:
+        except CodecError:
             return
         if decoded.header.llid is not LLID.CONTROL or not decoded.payload:
             return
@@ -366,7 +367,7 @@ class HopConformanceDetector(Detector):
     def _learn_connect_req(self, pdu: bytes) -> None:
         try:
             decoded = decode_advertising_pdu(pdu)
-        except Exception:
+        except CodecError:
             return
         if isinstance(decoded, ConnectReq):
             model = self._models.setdefault(
@@ -379,7 +380,7 @@ class HopConformanceDetector(Detector):
         change does not turn into a stream of bad-channel verdicts."""
         try:
             decoded = DataPdu.from_bytes(pdu)
-        except Exception:
+        except CodecError:
             return
         if decoded.header.llid is not LLID.CONTROL:
             return
@@ -391,7 +392,7 @@ class HopConformanceDetector(Detector):
                         model: _HopModel) -> List[Verdict]:
         try:
             decoded = DataPdu.from_bytes(view.frame.pdu)
-        except Exception:
+        except CodecError:
             return []
         header = decoded.header
         # Even in-event indices are Master transmissions, odd are Slave;

@@ -348,6 +348,25 @@ class TestJournal:
         run_campaign(spec, journal, jobs=1)
         assert load_state(journal).done == 4
 
+    @pytest.mark.parametrize("line", [
+        '[1, 2]',
+        '{"type": "unit", "unit_id": "00.test-easy:easy:001", '
+        '"status": "bogus"}',
+    ])
+    def test_malformed_complete_line_is_a_typed_error(self, tmp_path, line):
+        # Only a torn *final* line is forgiven; a complete line the
+        # report cannot fold stops the replay with a ConfigurationError.
+        spec = CampaignSpec.from_dict({
+            "name": "bad", "seed": 0, "timeout_s": 30,
+            "axes": [{"experiment": "test-easy", "n_connections": 2}],
+        })
+        journal = tmp_path / "bad.jsonl"
+        run_campaign(spec, journal, jobs=1, max_trials=1)
+        with journal.open("a") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(ConfigurationError):
+            read_journal(journal)
+
     def test_fingerprint_mismatch_is_refused(self, tmp_path):
         journal = tmp_path / "fp.jsonl"
         run_campaign(CampaignSpec.from_dict({

@@ -52,6 +52,7 @@ from repro.campaign.service import (
     spawn_worker,
     submit_campaign,
 )
+from repro.campaign.service import coordinator as coordinator_module
 from repro.campaign.service.coordinator import unit_record_payload
 from repro.cli import main
 from repro.errors import ConfigurationError, ServiceError
@@ -274,6 +275,45 @@ class TestCoordinator:
         _, _, records, _ = read_journal(tmp_path / "j.jsonl")
         assert list(records) == [unit.unit_id]
 
+    @pytest.mark.parametrize("bad", [
+        {"status": "ok", "result": "garbage"},
+        {"status": "ok", "result": {"success": "yes"}},
+        {"status": "ok", "result": {"success": True}},
+        {"status": "ok", "result": None},
+        {"status": "bogus"},
+        {"status": None},
+        {"status": "failed", "failure": "crash"},
+        {"metrics": [1, 2]},
+    ])
+    def test_malformed_record_is_rejected_then_valid_result_merges(
+            self, tmp_path, bad):
+        # A record the report could not fold must not be journaled: it
+        # would win first-wins dedup and shadow the valid result.
+        spec = _quick_spec(n=1)
+        serial = tmp_path / "serial.jsonl"
+        run_campaign(spec, serial, jobs=1)
+        coordinator = Coordinator(clock=_Clock())
+        coordinator.submit(spec, tmp_path / "j.jsonl")
+        grant = coordinator.handle_lease("w1", spec.fingerprint)
+        _, _, records, _ = read_journal(serial)
+        payload = unit_record_payload(records[grant["unit_id"]])
+        message = {"op": "result", "worker": "w1",
+                   "fingerprint": spec.fingerprint,
+                   "record": {**payload, **bad}}
+        with pytest.raises(ConfigurationError):
+            coordinator.handle_message(message)
+        # ... which the server turns into the wire's error reply.
+        reply = ServiceServer(coordinator)._handle(message)
+        assert reply["op"] == "error"
+        assert coordinator.campaign.state.done == 0
+        ack = coordinator.handle_message({
+            "op": "result", "worker": "w1",
+            "fingerprint": spec.fingerprint, "record": payload})
+        assert ack == {"op": "ack", "duplicate": False, "done": True}
+        coordinator.close()
+        assert build_report(load_state(tmp_path / "j.jsonl")) == \
+            build_report(load_state(serial))
+
     def test_lease_telemetry_counts_steals_and_requeues(self, tmp_path):
         spec = _quick_spec(n=1)
         clock = _Clock()
@@ -442,6 +482,21 @@ class TestHttpApi:
         finally:
             coordinator.close()
 
+    def test_worker_channel_rejects_non_object_messages(self, tmp_path):
+        async def body(coordinator, server, url):
+            coordinator.submit(_quick_spec(n=1), tmp_path / "j.jsonl")
+            w = await _RawWorker.open(server.port, "w")
+            assert (await w.request("hello"))["op"] == "welcome"
+            w.writer.write(b"[1]\n")
+            reply = await asyncio.wait_for(w.reply(), timeout=5)
+            assert reply == {"op": "error",
+                             "error": "message is not an object"}
+            # The connection survives the bad line.
+            assert (await w.request("hello"))["op"] == "welcome"
+            w.close()
+
+        _run_server(_with_server(body))
+
     def test_url_and_endpoint_parsing(self):
         assert parse_url("http://127.0.0.1:8000") == ("127.0.0.1", 8000)
         assert parse_url("127.0.0.1:8000/") == ("127.0.0.1", 8000)
@@ -451,6 +506,189 @@ class TestHttpApi:
                 parse_url(bad)
         with pytest.raises(ServiceError):
             parse_endpoint("no-port")
+
+
+# --------------------------------------------------------------------------
+# Parked leases: wait/idle answers are held open server-side and answered
+# on the coordinator's next state change.
+
+
+class _RawWorker:
+    """A worker-channel client driven from the test's own event loop."""
+
+    def __init__(self, name, reader, writer):
+        self.name = name
+        self.reader = reader
+        self.writer = writer
+
+    @classmethod
+    async def open(cls, port, name):
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        return cls(name, reader, writer)
+
+    def send(self, op, **fields):
+        message = {"op": op, "worker": self.name, **fields}
+        self.writer.write((json.dumps(message) + "\n").encode("utf-8"))
+
+    async def reply(self):
+        line = await self.reader.readline()
+        assert line, "coordinator closed the connection"
+        return json.loads(line)
+
+    async def request(self, op, **fields):
+        self.send(op, **fields)
+        return await asyncio.wait_for(self.reply(), timeout=5)
+
+    async def park(self, op, **fields):
+        """Send a request and check it is held open, not answered."""
+        self.send(op, **fields)
+        pending = asyncio.ensure_future(self.reply())
+        await asyncio.sleep(0.1)
+        assert not pending.done(), pending.result()
+        return pending
+
+    def close(self):
+        self.writer.close()
+
+
+def _record_payload(spec, unit_id):
+    """The journal payload a worker would report for ``unit_id``."""
+    from repro.campaign.engine import expand_units, unit_record, units_by_id
+
+    unit = units_by_id(expand_units(spec))[unit_id]
+    return unit_record_payload(unit_record(
+        unit, _run_quick_trial(unit.trial), None, cached=False))
+
+
+class TestParkedLeases:
+    def test_parked_lease_gets_drained_on_the_last_result(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(coordinator_module, "DEFAULT_RETRY_S", 30.0)
+        spec = _quick_spec(n=1)
+        fp = spec.fingerprint
+
+        async def body(coordinator, server, url):
+            coordinator.submit(spec, tmp_path / "j.jsonl")
+            a = await _RawWorker.open(server.port, "a")
+            b = await _RawWorker.open(server.port, "b")
+            grant = await a.request("lease", fingerprint=fp)
+            parked = await b.park("lease", fingerprint=fp)
+            start = time.monotonic()
+            ack = await a.request("result", fingerprint=fp,
+                                  record=_record_payload(
+                                      spec, grant["unit_id"]))
+            assert ack["done"] is True
+            assert await asyncio.wait_for(parked, timeout=5) == \
+                {"op": "drained"}
+            return time.monotonic() - start
+
+        assert _run_server(_with_server(body)) < 1.0  # not the 30 s retry
+
+    def test_parked_lease_gets_the_unit_after_expiry_requeue(
+            self, tmp_path):
+        spec = _quick_spec(n=1)
+        fp = spec.fingerprint
+
+        async def body(coordinator, server, url):
+            coordinator.submit(spec, tmp_path / "j.jsonl")
+            a = await _RawWorker.open(server.port, "a")
+            b = await _RawWorker.open(server.port, "b")
+            grant = await a.request("lease", fingerprint=fp)
+            parked = await b.park("lease", fingerprint=fp)
+            regrant = await asyncio.wait_for(parked, timeout=5)
+            assert regrant["op"] == "unit"
+            assert regrant["unit_id"] == grant["unit_id"]
+            assert regrant["stolen"] is False
+            return coordinator.metrics.snapshot()["counters"]
+
+        counters = _run_server(_with_server(body, lease_timeout_s=0.3,
+                                            steal_after_s=60.0))
+        assert counters["service.units.requeued"] == 1
+        assert counters["service.units.leased"] == 2
+
+    def test_disconnected_parked_worker_is_not_granted_the_unit(
+            self, tmp_path, monkeypatch):
+        # No retry timer fires during the test, so parked requests are
+        # re-handled only on the change, in the order they parked.
+        monkeypatch.setattr(coordinator_module, "DEFAULT_RETRY_S", 30.0)
+        spec = _quick_spec(n=2)
+        fp = spec.fingerprint
+        clock = _Clock()
+
+        async def body(coordinator, server, url):
+            coordinator.submit(spec, tmp_path / "j.jsonl")
+            a = await _RawWorker.open(server.port, "a")
+            b = await _RawWorker.open(server.port, "b")
+            gone = await _RawWorker.open(server.port, "gone")
+            survivor = await _RawWorker.open(server.port, "survivor")
+            lost = await a.request("lease", fingerprint=fp)  # a dies
+            grant = await b.request("lease", fingerprint=fp)
+            # "gone" parks first, so the wake-up re-handles it first.
+            await gone.park("lease", fingerprint=fp)
+            parked = await survivor.park("lease", fingerprint=fp)
+            gone.close()
+            await asyncio.sleep(0.05)  # let the server see the hang-up
+            clock.now = 100.0  # a's lease is long past its deadline
+            await b.request("result", fingerprint=fp,
+                            record=_record_payload(spec, grant["unit_id"]))
+            regrant = await asyncio.wait_for(parked, timeout=5)
+            assert regrant["op"] == "unit"
+            assert regrant["unit_id"] == lost["unit_id"]
+            # Granted to "gone", the unit would sit out a second lease
+            # expiry before the survivor could have it.
+            assert coordinator.campaign.queue.holders(lost["unit_id"]) == \
+                ["survivor"]
+            return coordinator.metrics.snapshot()["counters"]
+
+        counters = _run_server(_with_server(body, clock=clock,
+                                            lease_timeout_s=5.0,
+                                            steal_after_s=60.0))
+        assert counters["service.units.leased"] == 3  # a, b, survivor
+        assert counters["service.units.requeued"] == 1
+
+    def test_idle_hello_is_answered_when_a_campaign_is_submitted(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(coordinator_module, "DEFAULT_RETRY_S", 30.0)
+        spec = _quick_spec(n=1)
+
+        async def body(coordinator, server, url):
+            w = await _RawWorker.open(server.port, "w")
+            parked = await w.park("hello")
+            coordinator.submit(spec, tmp_path / "j.jsonl")
+            welcome = await asyncio.wait_for(parked, timeout=1)
+            assert welcome["op"] == "welcome"
+            assert welcome["fingerprint"] == spec.fingerprint
+
+        _run_server(_with_server(body))
+
+    def test_stop_ends_a_parked_lease_and_leaves_no_task(self, tmp_path):
+        spec = _quick_spec(n=1)
+        fp = spec.fingerprint
+
+        async def scenario():
+            coordinator = Coordinator()
+            server = ServiceServer(coordinator, port=0)
+            await server.start()
+            try:
+                coordinator.submit(spec, tmp_path / "j.jsonl")
+                a = await _RawWorker.open(server.port, "a")
+                b = await _RawWorker.open(server.port, "b")
+                await a.request("lease", fingerprint=fp)
+                parked = await b.park("lease", fingerprint=fp)
+                await server.stop()
+                others = [task for task in asyncio.all_tasks()
+                          if task is not asyncio.current_task()
+                          and task is not parked]
+                assert others == []
+                # The parked request ended without a reply.
+                with pytest.raises(AssertionError, match="closed"):
+                    await asyncio.wait_for(parked, timeout=5)
+                a.close()
+                b.close()
+            finally:
+                coordinator.close()
+
+        _run_server(scenario())
 
 
 # --------------------------------------------------------------------------
@@ -469,6 +707,22 @@ class TestServeCampaign:
         assert build_report(state) == build_report(load_state(serial))
         kinds = [event["event"] for event in events]
         assert kinds.count("unit") == 6 and kinds[-1] == "done"
+
+    def test_idle_worker_is_answered_by_the_last_result_not_a_retry(
+            self, tmp_path, monkeypatch):
+        # With a 30 s retry, a worker told to "wait" behind the other
+        # worker's last unit would sleep past the 5 s join timeout.
+        monkeypatch.setattr(coordinator_module, "DEFAULT_RETRY_S", 30.0)
+        spec = CampaignSpec.from_dict({
+            "name": "odd", "seed": 0, "timeout_s": 60,
+            "axes": [{"experiment": "test-sleepy", "n_connections": 5}],
+        })
+        serial = tmp_path / "serial.jsonl"
+        run_campaign(spec, serial, jobs=1)
+        start = time.monotonic()
+        state = serve_campaign(spec, tmp_path / "served.jsonl", workers=2)
+        assert time.monotonic() - start < 3.0
+        assert build_report(state) == build_report(load_state(serial))
 
     def test_all_workers_dead_raises_instead_of_hanging(self, tmp_path):
         """If every managed worker dies, the watchdog must raise rather

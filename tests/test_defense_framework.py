@@ -15,6 +15,8 @@ Three tiers:
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import render_roc_table
 from repro.analysis.roc import (
@@ -47,6 +49,8 @@ from repro.experiments.defense import (
     summarize_defense,
     trial_units,
 )
+from repro.ll.access_address import ADVERTISING_ACCESS_ADDRESS
+from repro.sim.interference import NOISE_ACCESS_ADDRESS
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -89,6 +93,35 @@ class TestRegistry:
             assert "test-null" in detector_names()
         finally:
             DETECTORS.pop("test-null")
+
+
+class TestHostileFrames:
+    """Frames come off the air from anyone in range: whatever bytes a
+    PDU carries, no detector may raise (each catches only CodecError)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(frames=st.lists(st.tuples(
+        st.sampled_from((ADVERTISING_ACCESS_ADDRESS, 0x50654A2B,
+                         0x71764129, NOISE_ACCESS_ADDRESS)),
+        st.integers(0, 39),
+        st.floats(0.0, 4_000.0),  # start gap: overlapping to idle
+        st.binary(max_size=40)), min_size=1, max_size=40))
+    def test_on_frame_survives_arbitrary_pdu_bytes(self, frames):
+        from repro.phy.signal import RadioFrame
+        from repro.sim.medium import Medium
+        from repro.sim.simulator import Simulator
+        from repro.sim.topology import Topology
+
+        sim = Simulator(seed=3)
+        medium = Medium(sim, Topology.equilateral_triangle(("a", "b", "c")))
+        bank = DetectorBank(sim, medium)  # every registered detector
+        start_us = 0.0
+        for access_address, channel, gap_us, pdu in frames:
+            start_us += gap_us
+            # _on_frame is the tap the medium calls at every frame start.
+            bank._on_frame(RadioFrame(access_address, pdu, 0, channel,
+                                      start_us, 0.0))
+        assert {d.name for d in bank.detectors} == set(detector_names())
 
 
 class TestRocMath:
